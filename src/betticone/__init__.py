@@ -16,9 +16,8 @@ from .bigraded import (BigradedBettiTable, CERT_EXTREMAL,
                        CERT_INCONCLUSIVE, KPolynomial, MatchingGraph,
                        bigraded_from_json_obj, bigraded_to_json_obj,
                        check_extremality_certificate, count_up_to_swap,
-                       enumerate_box_rays, finite_length_check,
-                       graph_to_dot, k_polynomial, matching_graph,
-                       seed_catalogue)
+                       finite_length_check, graph_to_dot, k_polynomial,
+                       matching_graph)
 from .bs_cone import Decomposition, decompose_graded, is_pure
 from .errors import (BetticoneError, BoundTooLarge, CollapsedSurvivor,
                      DegenerateSequence, InternalInconsistency,
@@ -39,6 +38,7 @@ from .module_engine import (FiniteModule, MonomialPair,
                             coker_presentation, dual_module,
                             generic_rank, kernel_generator_degrees,
                             module_from_json_obj, monomial_quotient)
+from .rays import enumerate_box_rays, seed_catalogue
 from .tables import (DegreeSequence, GradedBettiTable, HilbertNumerator,
                      PureTable, check_hk_equations, coarsen,
                      graded_from_json_obj, graded_to_json_obj,

@@ -33,30 +33,6 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def mat_mul(a, b):
-    """Product a*b; a is p x q, b is q x r."""
-    if not a:
-        return []
-    q = len(a[0])
-    assert len(b) == q, "shape mismatch"
-    r = len(b[0]) if b else 0
-    out = zero_matrix(len(a), r)
-    for i, arow in enumerate(a):
-        orow = out[i]
-        for k, aik in enumerate(arow):
-            if aik:
-                brow = b[k]
-                for j in range(r):
-                    if brow[j]:
-                        orow[j] += aik * brow[j]
-    return out
-
-
-def mat_vec(a, v):
-    return [sum((aij * vj for aij, vj in zip(row, v) if aij and vj), ZERO)
-            for row in a]
-
-
 def rref(m):
     """Row-reduce a copy of m; returns (reduced rows, pivot column list)."""
     rows = copy_matrix(m)

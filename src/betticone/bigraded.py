@@ -12,15 +12,13 @@ answer is always "inconclusive", never "not extremal".
 """
 
 import itertools
-import os
+from collections import Counter
 from math import gcd
 
-from .errors import BoundTooLarge, NotFiniteLength
+from .errors import NotFiniteLength
 
 CERT_EXTREMAL = "ExtremalByClaim3"
 CERT_INCONCLUSIVE = "Inconclusive"
-
-DEFAULT_MAX_BOX = 6
 
 
 class BigradedBettiTable:
@@ -101,18 +99,14 @@ class KPolynomial:
     def is_zero(self):
         return not self.coefficients
 
-    def substitute_s2_one(self):
-        """Coefficients of K(s1, 1) as a map a -> integer."""
+    def substitute_one(self, axis):
+        """K with the other variable set to 1, as a map from the
+        exponent on this axis to an integer: axis 0 gives K(s1, 1),
+        axis 1 gives K(1, s2)."""
         out = {}
-        for (a, _), c in self.coefficients.items():
-            out[a] = out.get(a, 0) + c
-        return {a: c for a, c in out.items() if c}
-
-    def substitute_s1_one(self):
-        out = {}
-        for (_, b), c in self.coefficients.items():
-            out[b] = out.get(b, 0) + c
-        return {b: c for b, c in out.items() if c}
+        for alpha, c in self.coefficients.items():
+            out[alpha[axis]] = out.get(alpha[axis], 0) + c
+        return {e: c for e, c in out.items() if c}
 
     def __eq__(self, other):
         if isinstance(other, KPolynomial):
@@ -134,38 +128,28 @@ class MatchingGraph:
     they share the second.
     """
 
-    __slots__ = ("vertices", "x_edges", "y_edges")
+    __slots__ = ("vertices", "x_edges", "y_edges", "_column", "_row")
 
     def __init__(self, vertices, x_edges, y_edges):
         self.vertices = dict(vertices)
         self.x_edges = tuple(x_edges)
         self.y_edges = tuple(y_edges)
+        self._column = Counter(a for a, _ in self.vertices)
+        self._row = Counter(b for _, b in self.vertices)
 
     def weight(self, alpha):
         return self.vertices[alpha][0]
 
     def x_valency(self, alpha):
-        return sum(1 for e in self.x_edges if alpha in e)
+        """Other vertices sharing alpha's first coordinate."""
+        return self._column[alpha[0]] - 1
 
     def y_valency(self, alpha):
-        return sum(1 for e in self.y_edges if alpha in e)
+        """Other vertices sharing alpha's second coordinate."""
+        return self._row[alpha[1]] - 1
 
     def is_connected(self):
-        verts = list(self.vertices)
-        if not verts:
-            return True
-        parent = {v: v for v in verts}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for u, w in self.x_edges + self.y_edges:
-            parent[find(u)] = find(w)
-        roots = {find(v) for v in verts}
-        return len(roots) == 1
+        return self.component_count() <= 1
 
     def component_count(self):
         verts = list(self.vertices)
@@ -213,7 +197,7 @@ def k_polynomial(t):
 
 def finite_length_check(k):
     """True iff K(s1, 1) and K(1, s2) are both the zero polynomial."""
-    return not k.substitute_s2_one() and not k.substitute_s1_one()
+    return not k.substitute_one(0) and not k.substitute_one(1)
 
 
 class CertificateVerdict:
@@ -269,116 +253,6 @@ def check_extremality_certificate(t):
         failures.append(("disconnected", None, graph.component_count()))
     verdict = CERT_EXTREMAL if not failures else CERT_INCONCLUSIVE
     return CertificateVerdict(verdict, failures, graph)
-
-
-def _staircase_antichains(bound_a, bound_b):
-    """All nonempty antichains of exponent pairs inside the box.
-
-    An antichain (no generator divides another) is a choice of columns
-    a_1 < ... < a_r paired with strictly decreasing b values; these are
-    exactly the minimal generating sets of monomial ideals whose
-    generators fit in the box.
-    """
-    a_values = range(bound_a + 1)
-    b_values = range(bound_b + 1)
-    out = []
-    for r in range(1, min(bound_a, bound_b) + 2):
-        for cols in itertools.combinations(a_values, r):
-            for rows in itertools.combinations(b_values, r):
-                gens = tuple(zip(cols, sorted(rows, reverse=True)))
-                out.append(gens)
-    return out
-
-
-def _divides_some(point, gens):
-    return any(g[0] <= point[0] and g[1] <= point[1] for g in gens)
-
-
-def seed_catalogue():
-    """Presentation-matrix seeds that are not monomial quotients.
-
-    The catalogue holds the two-generator module whose matching graph
-    is a heart-shaped octagon; it certifies extremality but no monomial
-    quotient produces its table, because any quotient generated in
-    degrees (1,0) and (0,1) picks up a relation in degree (1,1) that
-    the heart avoids.
-    """
-    from .module_engine import PresentationMatrix
-    heart = PresentationMatrix(
-        rows=[(1, 0), (0, 1)],
-        cols=[(3, 0), (2, 1), (1, 2), (0, 3)],
-        entries=[
-            [[(1, (2, 0))], [(1, (1, 1))], [(1, (0, 2))], []],
-            [[], [(1, (2, 0))], [(1, (1, 1))], [(1, (0, 2))]],
-        ])
-    return [("heart", heart)]
-
-
-def enumerate_box_rays(bound, max_box=None):
-    """All distinct certified-extremal rays with support in the box.
-
-    Candidates are the finite length monomial quotients I/J whose table
-    support fits in [0, B1] x [0, B2], plus the presentation seeds from
-    the catalogue.  Tables failing the valency certificate are dropped;
-    survivors are deduplicated up to positive scalar and returned in a
-    canonical sorted order.
-    """
-    from .module_engine import (MonomialPair, bigraded_betti,
-                                coker_presentation, dual_module,
-                                monomial_quotient)
-    from .errors import NotFiniteLength as _NFL
-
-    b1, b2 = int(bound[0]), int(bound[1])
-    if max_box is None:
-        max_box = int(os.environ.get("BETTICONE_MAX_BOX", DEFAULT_MAX_BOX))
-    if b1 > max_box or b2 > max_box:
-        raise BoundTooLarge(
-            f"box {bound} exceeds the guard {max_box}; raise "
-            "BETTICONE_MAX_BOX if you mean it")
-    if b1 < 0 or b2 < 0:
-        raise ValueError("box corners must be nonnegative")
-
-    def fits(table):
-        return all(0 <= a <= b1 and 0 <= b <= b2
-                   for a, b in table.support())
-
-    found = {}
-
-    def consider(table):
-        if table.is_empty() or not fits(table):
-            return
-        try:
-            verdict = check_extremality_certificate(table)
-        except _NFL:
-            return
-        if verdict.is_extremal():
-            key = table.canonical_key()
-            found.setdefault(key, table.gcd_normalized())
-
-    antichains = _staircase_antichains(b1, b2)
-    for gens_i in antichains:
-        for gens_j in antichains:
-            # J inside I, and quick finite length screen: J must reach
-            # both axes at least as far down as I does.
-            if not all(_divides_some(g, gens_i) for g in gens_j):
-                continue
-            if min(b for _, b in gens_j) > min(b for _, b in gens_i):
-                continue
-            if min(a for a, _ in gens_j) > min(a for a, _ in gens_i):
-                continue
-            pair = MonomialPair(gens_i, gens_j)
-            module = monomial_quotient(pair)
-            if not module.dims:
-                continue
-            consider(bigraded_betti(module))
-
-    for _, seed in seed_catalogue():
-        module = coker_presentation(seed)
-        consider(bigraded_betti(module))
-        consider(bigraded_betti(dual_module(module)))
-
-    return sorted(found.values(),
-                  key=lambda t: sorted(t.entries.items()))
 
 
 def count_up_to_swap(tables):

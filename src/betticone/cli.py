@@ -16,13 +16,14 @@ from fractions import Fraction
 from . import __version__
 from .bigraded import (bigraded_from_json_obj, bigraded_to_json_obj,
                        check_extremality_certificate, count_up_to_swap,
-                       enumerate_box_rays, graph_to_dot, matching_graph)
+                       graph_to_dot)
 from .bs_cone import decompose_graded
 from .errors import BetticoneError, NotInConeCandidate
-from .es_construct import es_plan, es_ranks, render_plan_text
+from .es_construct import es_plan, es_ranks, render_plan_text, twist_table
 from .local_cone import (LocalBettiVector, is_in_local_cone, limit_degrees,
                          limit_table, local_ray_coefficients)
 from .module_engine import bigraded_betti, module_from_json_obj
+from .rays import enumerate_box_rays
 from .tables import (graded_from_json_obj, graded_to_json_obj,
                      hk_pure_table, pure_to_json_obj)
 
@@ -58,7 +59,6 @@ def cmd_es_plan(args):
     plan = es_plan(_ints(args.degrees))
     ranks = es_ranks(plan)
     if args.json:
-        from .es_construct import twist_table
         table = twist_table(plan)
         _print_json({
             "degrees": list(plan.degrees),
@@ -343,7 +343,7 @@ def run(argv=None):
     except KeyError as exc:
         print(f"error: missing key {exc} in input file", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

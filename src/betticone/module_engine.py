@@ -8,8 +8,8 @@ rational matrices.  Betti numbers then come out of the Koszul complex
     M(-1,-1) --(y, -x)--> M(-1,0) + M(0,-1) --(x  y)--> M
 
 restricted to a single bidegree, so no Groebner machinery is needed.
-Everything runs over the prime field; the ranks involved are the same
-for any field of characteristic zero.
+Everything runs over the rationals (Fraction); the ranks involved are
+the same for any field of characteristic zero.
 """
 
 from fractions import Fraction
@@ -258,40 +258,24 @@ class PresentationMatrix:
 
 
 def generic_rank(pm):
-    """Rank of the presentation matrix over the fraction field.
+    """Rank of the presentation matrix over the fraction field k(x, y).
 
-    Any minor is a polynomial of degree at most sa in x and sb in y,
-    where sa and sb bound the sum of entry exponents along a product,
-    so scanning a (sa + 1) by (sb + 1) grid of evaluation points must
-    hit a point where some maximal nonzero minor survives.
+    Writing m^e for the monomial x^e0 y^e1, entry (r, c) is
+    s_rc * m^(col_c - row_r), so the matrix equals D_rows^-1 * S * D_cols
+    where S is the scalar grid and D_rows, D_cols are the diagonal
+    matrices of the monomials m^row_r and m^col_c.  Both diagonals are
+    invertible over k(x, y), hence the rank is the rank of S.
     """
-    nrows = len(pm.row_degrees)
-    ncols = len(pm.col_degrees)
-    size = min(nrows, ncols)
-    if size == 0:
-        return 0
-    expa = [pm.entry_exponent(r, c)[0]
-            for r in range(nrows) for c in range(ncols)
-            if pm.scalars[r][c] != 0]
-    if not expa:
-        return 0
-    expb = [pm.entry_exponent(r, c)[1]
-            for r in range(nrows) for c in range(ncols)
-            if pm.scalars[r][c] != 0]
-    sa = size * max(expa)
-    sb = size * max(expb)
-    best = 0
-    for px in range(1, sa + 2):
-        for py in range(1, sb + 2):
-            m = [[pm.scalars[r][c]
-                  * Fraction(px) ** pm.entry_exponent(r, c)[0]
-                  * Fraction(py) ** pm.entry_exponent(r, c)[1]
-                  if pm.scalars[r][c] != 0 else Fraction(0)
-                  for c in range(ncols)] for r in range(nrows)]
-            best = max(best, rank(m))
-            if best == size:
-                return best
-    return best
+    return rank(pm.scalars)
+
+
+def _scan_corners(degrees, box):
+    """Top corners to scan: the explicit box alone, or the degrees'
+    coordinatewise maximum pushed out by each growth margin."""
+    if box is not None:
+        return [(int(box[0]), int(box[1]))]
+    base = (max(a for a, _ in degrees), max(b for _, b in degrees))
+    return [(base[0] + m, base[1] + m) for m in _GROWTH_MARGINS]
 
 
 def coker_presentation(pm, box=None):
@@ -309,14 +293,8 @@ def coker_presentation(pm, box=None):
         return FiniteModule({}, {}, {})
     lo = (min(a for a, _ in pm.row_degrees),
           min(b for _, b in pm.row_degrees))
-    degs = pm.row_degrees + pm.col_degrees
-    base = (max(a for a, _ in degs), max(b for _, b in degs))
-    if box is not None:
-        corners = [(int(box[0]), int(box[1]))]
-    else:
-        corners = [(base[0] + m, base[1] + m) for m in _GROWTH_MARGINS]
     last_error = None
-    for corner in corners:
+    for corner in _scan_corners(pm.row_degrees + pm.col_degrees, box):
         result = _coker_scan(pm, lo, corner)
         if result is not None:
             return result
@@ -426,14 +404,8 @@ def kernel_generator_degrees(pm, box=None):
         return []
     lo = (min(a for a, _ in pm.col_degrees),
           min(b for _, b in pm.col_degrees))
-    base = (max(a for a, _ in pm.col_degrees),
-            max(b for _, b in pm.col_degrees))
-    if box is not None:
-        corners = [(int(box[0]), int(box[1]))]
-    else:
-        corners = [(base[0] + m, base[1] + m) for m in _GROWTH_MARGINS]
     found = {}
-    for corner in corners:
+    for corner in _scan_corners(pm.col_degrees, box):
         found = _kernel_scan(pm, lo, corner)
         if sum(found.values()) == expected:
             return [(alpha, found[alpha]) for alpha in sorted(found)]

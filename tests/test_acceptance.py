@@ -52,7 +52,7 @@ from betticone import (
     ray_vector,
     sup_distance,
 )
-from betticone.bigraded import seed_catalogue
+from betticone import seed_catalogue
 
 REPORT_LINES = []
 

@@ -33,10 +33,10 @@ from betticone import (
     matching_graph,
     monomial_quotient,
 )
+from betticone import seed_catalogue
 from betticone.bigraded import (
     bigraded_from_json_obj,
     bigraded_to_json_obj,
-    seed_catalogue,
 )
 
 KOSZUL_ENTRIES = {

@@ -1,0 +1,83 @@
+"""Import layout of the package.
+
+Intra-package imports must form an acyclic graph and must sit at module
+level: an import inside a function hides a dependency from the reader
+and is the usual way a cycle gets papered over.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import betticone
+
+PACKAGE = Path(betticone.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _targets(node):
+    """Package modules an import statement pulls from, or []."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] if "." in alias.name
+                else "__init__" for alias in node.names
+                if alias.name.split(".")[0] == "betticone"]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    parts = (node.module or "").split(".")
+    if node.level == 0:
+        if parts[0] != "betticone":
+            return []
+        parts = parts[1:]
+    if parts and parts[0]:
+        return [parts[0]]
+    return [alias.name if alias.name in MODULES else "__init__"
+            for alias in node.names]
+
+
+def _edges():
+    return {name: {target for node in ast.walk(tree)
+                   for target in _targets(node) if target != name}
+            for name, tree in MODULES.items()}
+
+
+def test_layout_helper_reads_every_import_form():
+    tree = ast.parse("import betticone.rays\n"
+                     "from betticone.bigraded import matching_graph\n"
+                     "from . import __version__\n"
+                     "from . import rays\n"
+                     "from .errors import BetticoneError\n"
+                     "import json\n")
+    assert [t for node in tree.body for t in _targets(node)] == [
+        "rays", "bigraded", "__init__", "rays", "errors"]
+
+
+def test_intra_package_imports_are_acyclic():
+    edges = _edges()
+    state = {}
+
+    def visit(name, path):
+        if state.get(name) == "done":
+            return
+        assert state.get(name) != "open", \
+            "import cycle: " + " -> ".join(path + [name])
+        state[name] = "open"
+        for target in sorted(edges[name]):
+            visit(target, path + [name])
+        state[name] = "done"
+
+    for name in sorted(edges):
+        visit(name, [])
+
+
+def test_no_function_imports_from_the_package():
+    found = []
+    for name, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if _targets(node):
+                    found.append(f"{name}.{func.name} line {node.lineno}")
+    assert not found, found

@@ -146,6 +146,19 @@ def test_limit_tables_converge_to_each_ray():
                 last = dist
 
 
+def test_limit_distance_from_n_5_breaks_the_n_plus_one_bound_yet_decreases():
+    # from n = 5 the distance exceeds (n+1)/j at small j, but it still
+    # decreases strictly in j
+    assert sup_distance(limit_table(0, 2, 5), ray_vector(0, 5)) \
+        == Fraction(105, 32)
+    for n in (5, 6):
+        for i in range(n):
+            target = ray_vector(i, n)
+            dists = [sup_distance(limit_table(i, j, n), target)
+                     for j in range(2, 65, 2)]
+            assert all(a > b for a, b in zip(dists, dists[1:]))
+
+
 def test_limit_table_is_normalized_at_the_ray_scale():
     # rescaled so the anchor entry is exactly 1; its neighbor tends to
     # 1 (from either side) and everything else decays like 1/j
