@@ -8,6 +8,8 @@ pivots beats any clever sparse structure.
 
 from fractions import Fraction
 
+from .errors import InternalInconsistency
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -74,7 +76,8 @@ def nullspace_basis(m, ncols=None):
     of the ncols-dimensional space).
     """
     if not m:
-        assert ncols is not None, "need ncols for an empty matrix"
+        if ncols is None:
+            raise InternalInconsistency("need ncols for an empty matrix")
         return [row[:] for row in identity_matrix(ncols)]
     ncols = len(m[0])
     reduced, pivots = rref(m)

@@ -123,19 +123,33 @@ class MatchingGraph:
     """Weighted graph on the bidegrees of a table.
 
     vertices: alpha -> (weight, frozenset of contributing homological
-    degrees).  Edges are stored as sorted vertex pairs; two vertices
-    are x-adjacent iff they share the first coordinate, y-adjacent iff
-    they share the second.
+    degrees).  Two vertices are x-adjacent iff they share the first
+    coordinate, y-adjacent iff they share the second; valency and
+    connectivity come from the column and row groups, and the edge
+    lists are only built when read.
     """
 
-    __slots__ = ("vertices", "x_edges", "y_edges", "_column", "_row")
+    __slots__ = ("vertices", "_column", "_row")
 
-    def __init__(self, vertices, x_edges, y_edges):
+    def __init__(self, vertices):
         self.vertices = dict(vertices)
-        self.x_edges = tuple(x_edges)
-        self.y_edges = tuple(y_edges)
         self._column = Counter(a for a, _ in self.vertices)
         self._row = Counter(b for _, b in self.vertices)
+
+    @property
+    def x_edges(self):
+        """Sorted vertex pairs sharing the first coordinate."""
+        return self._edges(0)
+
+    @property
+    def y_edges(self):
+        """Sorted vertex pairs sharing the second coordinate."""
+        return self._edges(1)
+
+    def _edges(self, axis):
+        return tuple((u, w) for u, w
+                     in itertools.combinations(sorted(self.vertices), 2)
+                     if u[axis] == w[axis])
 
     def weight(self, alpha):
         return self.vertices[alpha][0]
@@ -152,8 +166,9 @@ class MatchingGraph:
         return self.component_count() <= 1
 
     def component_count(self):
-        verts = list(self.vertices)
-        parent = {v: v for v in verts}
+        """Components, joining each vertex to the first vertex of its
+        column and of its row (the same components as the edges)."""
+        parent = {v: v for v in self.vertices}
 
         def find(v):
             while parent[v] != v:
@@ -161,9 +176,12 @@ class MatchingGraph:
                 v = parent[v]
             return v
 
-        for u, w in self.x_edges + self.y_edges:
-            parent[find(u)] = find(w)
-        return len({find(v) for v in verts})
+        first_in_column = {}
+        first_in_row = {}
+        for v in self.vertices:
+            parent[find(v)] = find(first_in_column.setdefault(v[0], v))
+            parent[find(v)] = find(first_in_row.setdefault(v[1], v))
+        return len({find(v) for v in parent})
 
 
 def matching_graph(t):
@@ -173,17 +191,8 @@ def matching_graph(t):
     for (i, alpha), count in t.entries.items():
         weights[alpha] = weights.get(alpha, 0) + count
         support.setdefault(alpha, set()).add(i)
-    vertices = {alpha: (weights[alpha], frozenset(support[alpha]))
-                for alpha in weights}
-    ordered = sorted(vertices)
-    x_edges = []
-    y_edges = []
-    for u, w in itertools.combinations(ordered, 2):
-        if u[0] == w[0]:
-            x_edges.append((u, w))
-        if u[1] == w[1]:
-            y_edges.append((u, w))
-    return MatchingGraph(vertices, x_edges, y_edges)
+    return MatchingGraph({alpha: (weights[alpha], frozenset(support[alpha]))
+                          for alpha in weights})
 
 
 def k_polynomial(t):
@@ -290,11 +299,36 @@ def bigraded_to_json_obj(t):
     }
 
 
+def json_list(value, field):
+    """A JSON array as given, else a ValueError naming the field."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return value
+
+
+def json_bidegree(value, field):
+    """A JSON pair of integers as a tuple, else a ValueError naming the
+    field."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        try:
+            return (int(value[0]), int(value[1]))
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be a pair of integers, got {value!r}")
+
+
+def json_bidegrees(value, field):
+    """A JSON list of integer pairs as a list of tuples."""
+    return [json_bidegree(v, field) for v in json_list(value, field)]
+
+
 def bigraded_from_json_obj(obj):
-    if obj.get("kind") != "bigraded":
+    if not isinstance(obj, dict) or obj.get("kind") != "bigraded":
         raise ValueError("expected a bigraded table object")
     entries = {}
-    for item in obj["entries"]:
-        key = (int(item["i"]), (int(item["deg"][0]), int(item["deg"][1])))
+    for item in json_list(obj["entries"], "entries"):
+        if not isinstance(item, dict):
+            raise ValueError(f"entries must hold objects, got {item!r}")
+        key = (int(item["i"]), json_bidegree(item["deg"], "deg"))
         entries[key] = entries.get(key, 0) + int(item["b"])
     return BigradedBettiTable(entries)

@@ -14,9 +14,13 @@ class NonIncreasingDegrees(BetticoneError):
 
 
 class InternalInconsistency(BetticoneError):
-    """A twist table row was collapsed without a vanishing factor.
+    """An internal invariant broke: a twist table row collapsed without
+    a vanishing factor, a degree plan whose gaps miss the ambient
+    dimension, negative Koszul homology, a matrix shape that cannot be
+    read off.
 
-    Unreachable for plans built by es_plan; kept as a loud guard.
+    Unreachable from valid inputs; kept as a loud guard that, unlike
+    assert, survives python -O.
     """
 
 

@@ -53,8 +53,9 @@ class ESPlan:
         self.factors = tuple(factors)
         self.ambient_vars = ambient_vars
         self.ambient_dim_check = ambient_vars - degrees.n
-        assert sum(self.gaps) == self.ambient_dim_check, \
-            "gap vector does not match ambient dimension"
+        if sum(self.gaps) != self.ambient_dim_check:
+            raise InternalInconsistency(
+                "gap vector does not match ambient dimension")
 
     def __repr__(self):
         return (f"ESPlan(degrees={list(self.degrees)}, gaps={self.gaps}, "

@@ -16,9 +16,11 @@ from fractions import Fraction
 
 from ._linalg import (column_space_pivot_rows, nullspace_basis, rank,
                       reduce_against, transpose)
-from .bigraded import BigradedBettiTable
-from .errors import (KernelNotFinitelyResolvedInBox, NotContained,
-                     NotFiniteLength, NotFiniteLengthWithinBox)
+from .bigraded import (BigradedBettiTable, json_bidegree, json_bidegrees,
+                       json_list)
+from .errors import (InternalInconsistency, KernelNotFinitelyResolvedInBox,
+                     NotContained, NotFiniteLength,
+                     NotFiniteLengthWithinBox)
 
 _X = (1, 0)
 _Y = (0, 1)
@@ -380,7 +382,8 @@ def bigraded_betti(mod):
             b1 = d_left + d_below - r1 - r2
             b0 = d_here - r1
             if b1 < 0:
-                raise AssertionError(f"negative middle homology at {alpha}")
+                raise InternalInconsistency(
+                    f"negative middle homology at {alpha}")
             for i, value in ((0, b0), (1, b1), (2, b2)):
                 if value:
                     entries[(i, alpha)] = value
@@ -489,20 +492,31 @@ def presentation_to_json_obj(pm):
     }
 
 
+def _json_term(term):
+    if not isinstance(term, (list, tuple)) or len(term) != 2:
+        raise ValueError(
+            f"entries terms must be [coefficient, exponent], got {term!r}")
+    return (term[0], json_bidegree(term[1], "entries exponent"))
+
+
 def presentation_from_json_obj(obj):
-    if obj.get("kind") != "presentation":
+    if not isinstance(obj, dict) or obj.get("kind") != "presentation":
         raise ValueError("expected a presentation object")
-    entries = [[[(term[0], (term[1][0], term[1][1])) for term in cell]
-                for cell in row] for row in obj["entries"]]
-    return PresentationMatrix(obj["rows"], obj["cols"], entries)
+    entries = [[[_json_term(term) for term in json_list(cell, "entries")]
+                for cell in json_list(row, "entries")]
+               for row in json_list(obj["entries"], "entries")]
+    return PresentationMatrix(json_bidegrees(obj["rows"], "rows"),
+                              json_bidegrees(obj["cols"], "cols"), entries)
 
 
 def module_from_json_obj(obj, box=None):
     """Build a FiniteModule from either JSON input form."""
+    if not isinstance(obj, dict):
+        raise ValueError("expected a module object")
     kind = obj.get("kind")
     if kind == "monomial_quotient":
-        pair = MonomialPair([tuple(g) for g in obj["outer"]],
-                            [tuple(g) for g in obj["inner"]])
+        pair = MonomialPair(json_bidegrees(obj["outer"], "outer"),
+                            json_bidegrees(obj["inner"], "inner"))
         return monomial_quotient(pair)
     if kind == "presentation":
         return coker_presentation(presentation_from_json_obj(obj), box=box)

@@ -361,7 +361,7 @@ def graded_to_json_obj(t):
 
 
 def graded_from_json_obj(obj):
-    if obj.get("kind") != "graded":
+    if not isinstance(obj, dict) or obj.get("kind") != "graded":
         raise ValueError("expected a graded table object")
     entries = {}
     for item in obj["entries"]:
@@ -379,6 +379,6 @@ def pure_to_json_obj(p):
 
 
 def pure_from_json_obj(obj):
-    if obj.get("kind") != "pure":
+    if not isinstance(obj, dict) or obj.get("kind") != "pure":
         raise ValueError("expected a pure table object")
     return PureTable(obj["degrees"], [int(b) for b in obj["mult"]])

@@ -1,10 +1,11 @@
 """Matching graphs, extremality certificates, and ray enumeration.
 
-The enumeration test at the bottom re-derives the monomial part of the
-ray list a second way: instead of walking generator antichains it
-enumerates every subset of the low grid directly, keeps the ones shaped
-like a staircase region, and certifies those.  Agreement between the
-two routes is the completeness evidence for the box scan.
+The enumeration tests at the bottom re-derive the ray list by routes
+that share no code with the library's region walk and corner count:
+every pair of generator antichains in the box through the Koszul
+oracle, and every subset of the low grid kept when it is shaped like a
+staircase region.  Agreement between the routes is the completeness
+evidence for the box scan.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from betticone.bigraded import (
     bigraded_from_json_obj,
     bigraded_to_json_obj,
 )
+from betticone.rays import staircase_betti, staircase_regions
 
 KOSZUL_ENTRIES = {
     (0, (0, 0)): 1,
@@ -342,3 +344,93 @@ def test_direct_region_sweep_matches_antichain_enumeration():
     assert ray_keys - seed_keys == set(certified)
     assert len(certified) == 73
     assert len(rays) == 75
+
+
+def _staircase_antichains(bound_a, bound_b):
+    """All nonempty antichains of exponent pairs inside the box.
+
+    An antichain (no generator divides another) is a choice of columns
+    a_1 < ... < a_r paired with strictly decreasing b values; these are
+    exactly the minimal generating sets of monomial ideals whose
+    generators fit in the box.
+    """
+    out = []
+    for r in range(1, min(bound_a, bound_b) + 2):
+        for cols in combinations(range(bound_a + 1), r):
+            for rows in combinations(range(bound_b + 1), r):
+                out.append(tuple(zip(cols, sorted(rows, reverse=True))))
+    return out
+
+
+def _antichain_box_rays(bound):
+    """Reference route for enumerate_box_rays: every pair of antichains
+    (I, J) in the box, the module I/J, and the Koszul oracle."""
+    b1, b2 = bound
+    found = {}
+
+    def consider(table):
+        if table.is_empty() or not all(
+                0 <= a <= b1 and 0 <= b <= b2 for a, b in table.support()):
+            return
+        try:
+            verdict = check_extremality_certificate(table)
+        except NotFiniteLength:
+            return
+        if verdict.is_extremal():
+            found.setdefault(table.canonical_key(), table.gcd_normalized())
+
+    antichains = _staircase_antichains(b1, b2)
+    for gens_i in antichains:
+        for gens_j in antichains:
+            if not all(any(g[0] <= p[0] and g[1] <= p[1] for g in gens_i)
+                       for p in gens_j):
+                continue
+            if min(b for _, b in gens_j) > min(b for _, b in gens_i):
+                continue
+            if min(a for a, _ in gens_j) > min(a for a, _ in gens_i):
+                continue
+            module = monomial_quotient(MonomialPair(gens_i, gens_j))
+            if module.dims:
+                consider(bigraded_betti(module))
+    for _, seed in seed_catalogue():
+        module = coker_presentation(seed)
+        consider(bigraded_betti(module))
+        consider(bigraded_betti(dual_module(module)))
+    return sorted(found.values(), key=lambda t: sorted(t.entries.items()))
+
+
+def _cells(columns):
+    return {(a, b) for a, col in enumerate(columns) if col
+            for b in range(*col)}
+
+
+def test_region_walk_matches_antichain_pairs_up_to_box_four():
+    for b1 in range(5):
+        for b2 in range(5):
+            assert enumerate_box_rays((b1, b2)) == \
+                _antichain_box_rays((b1, b2)), (b1, b2)
+
+
+def test_corner_count_matches_koszul_oracle_on_every_region():
+    regions = list(staircase_regions(4, 4))
+    assert len(regions) == 1145
+    for columns in regions:
+        assert staircase_betti(columns) == \
+            bigraded_betti(_region_module(_cells(columns))), columns
+
+
+def test_region_walk_yields_the_literal_subset_sweep():
+    walked = [frozenset(_cells(c)) for c in staircase_regions(3, 3)]
+    assert len(walked) == len(set(walked)) == 113
+    assert set(walked) == {frozenset(s) for s in _valid_regions(box=2)}
+
+
+def test_region_counts_per_box():
+    assert [sum(1 for _ in staircase_regions(b, b))
+            for b in range(2, 6)] == [12, 113, 1145, 12577]
+    assert sum(1 for _ in staircase_regions(5, 3)) == 780
+
+
+def test_enumerate_box_five_count():
+    rays = enumerate_box_rays((5, 5))
+    assert len(rays) == 2698

@@ -302,6 +302,31 @@ def test_misnamed_json_key_is_reported_by_name(tmp_path, capsys):
     assert capsys.readouterr().err == "error: missing key 'deg' in input file\n"
 
 
+@pytest.mark.parametrize("command, obj, field", [
+    ("bigraded check", [1, 2], "bigraded table object"),
+    ("resolve", [1, 2], "module object"),
+    ("decompose", [1, 2], "graded table object"),
+    ("bigraded check",
+     {"kind": "bigraded", "entries": [{"i": 0, "deg": 5, "b": 1}]}, "deg"),
+    ("bigraded check", {"kind": "bigraded", "entries": 5}, "entries"),
+    ("resolve", {"kind": "monomial_quotient", "outer": [[0, 0]], "inner": 5},
+     "inner"),
+    ("resolve", {"kind": "monomial_quotient", "outer": [[0, [0]]],
+                 "inner": [[1, 0], [0, 1]]}, "outer"),
+    ("resolve", dict(PACMAN_MODULE, rows=[[0, 0], 1]), "rows"),
+    ("resolve", dict(PACMAN_MODULE, cols=7), "cols"),
+    ("resolve", dict(PACMAN_MODULE, entries=[[5]]), "entries"),
+    ("resolve", dict(PACMAN_MODULE, entries=[[[["1", 3]]]]), "entries"),
+])
+def test_malformed_json_shape_is_reported_by_field(tmp_path, capsys,
+                                                   command, obj, field):
+    path = _write(tmp_path, "bad.json", obj)
+    assert run(command.split() + [path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
 def test_version(capsys):
     assert run(["version"]) == 0
     out = capsys.readouterr().out

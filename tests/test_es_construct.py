@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from betticone import (
     CollapsedSurvivor,
+    ESPlan,
+    InternalInconsistency,
     NoCollapsibleWindow,
     NonIncreasingDegrees,
     collapse_step,
@@ -197,3 +199,10 @@ def test_es_ranks_integer_multiple_property(rest):
     assert all(b % m == 0
                for b, m in zip(built.multiplicities,
                                minimal.multiplicities))
+
+
+def test_plan_with_mismatched_gaps_is_an_internal_inconsistency():
+    plan = es_plan([0, 3, 5, 6])
+    with pytest.raises(InternalInconsistency):
+        ESPlan(plan.degrees, plan.gaps + (1,), plan.factors,
+               plan.ambient_vars)

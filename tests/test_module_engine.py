@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from betticone import (
     BigradedBettiTable,
     FiniteModule,
+    InternalInconsistency,
     KernelNotFinitelyResolvedInBox,
     MonomialPair,
     NotContained,
@@ -35,6 +36,7 @@ from betticone import (
     module_from_json_obj,
     monomial_quotient,
 )
+from betticone._linalg import nullspace_basis
 from betticone.module_engine import (
     presentation_from_json_obj,
     presentation_to_json_obj,
@@ -468,3 +470,9 @@ def test_oracle_matches_corner_counts_on_random_regions():
             continue
         m = _region_module(region)
         assert dict(bigraded_betti(m).entries) == _staircase_betti(region)
+
+
+def test_empty_matrix_nullspace_needs_its_width():
+    assert len(nullspace_basis([], ncols=2)) == 2
+    with pytest.raises(InternalInconsistency):
+        nullspace_basis([])
