@@ -13,6 +13,7 @@ answer is always "inconclusive", never "not extremal".
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 from .errors import NotFiniteLength
@@ -306,14 +307,38 @@ def json_list(value, field):
     return value
 
 
+def json_int(value, field):
+    """A JSON integer as an int, else a ValueError naming the field.
+
+    An integral float (2.0) or a string holding an integer ("2") reads
+    as that integer; 1.5 is refused rather than truncated.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def json_rational(value, field):
+    """A JSON number or a string such as "3/4" as an exact Fraction,
+    else a ValueError naming the field.  A float reads as the decimal
+    it is written as, so 0.1 is 1/10."""
+    try:
+        return Fraction(value if isinstance(value, int) else str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"{field} must be a rational number, got {value!r}") from None
+
+
 def json_bidegree(value, field):
     """A JSON pair of integers as a tuple, else a ValueError naming the
     field."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            return (int(value[0]), int(value[1]))
-        except TypeError:
-            pass
+        return (json_int(value[0], field), json_int(value[1], field))
     raise ValueError(f"{field} must be a pair of integers, got {value!r}")
 
 
@@ -329,6 +354,6 @@ def bigraded_from_json_obj(obj):
     for item in json_list(obj["entries"], "entries"):
         if not isinstance(item, dict):
             raise ValueError(f"entries must hold objects, got {item!r}")
-        key = (int(item["i"]), json_bidegree(item["deg"], "deg"))
-        entries[key] = entries.get(key, 0) + int(item["b"])
+        key = (json_int(item["i"], "i"), json_bidegree(item["deg"], "deg"))
+        entries[key] = entries.get(key, 0) + json_int(item["b"], "b")
     return BigradedBettiTable(entries)

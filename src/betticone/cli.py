@@ -31,6 +31,12 @@ from .tables import (graded_from_json_obj, graded_to_json_obj,
 def _ints(text):
     return [int(part) for part in text.split(",")]
 
+def _box(text):
+    box = _ints(text)
+    if len(box) != 2:
+        raise ValueError("--box takes two comma-separated integers")
+    return (box[0], box[1])
+
 def _fractions(text):
     return [Fraction(part) for part in text.split(",")]
 
@@ -199,10 +205,8 @@ def cmd_bigraded_check(args):
 
 
 def cmd_bigraded_rays(args):
-    box = _ints(args.box)
-    if len(box) != 2:
-        raise ValueError("--box takes two comma-separated integers")
-    rays = enumerate_box_rays((box[0], box[1]), max_box=args.max_box)
+    box = _box(args.box)
+    rays = enumerate_box_rays(box, max_box=args.max_box)
     swap_count = count_up_to_swap(rays)
     if args.json:
         _print_json({
@@ -220,12 +224,7 @@ def cmd_bigraded_rays(args):
 
 
 def cmd_resolve(args):
-    box = None
-    if args.box:
-        parts = _ints(args.box)
-        if len(parts) != 2:
-            raise ValueError("--box takes two comma-separated integers")
-        box = (parts[0], parts[1])
+    box = _box(args.box) if args.box else None
     module = module_from_json_obj(_load_json(args.module), box=box)
     table = bigraded_betti(module)
     verdict = None

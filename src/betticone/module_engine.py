@@ -14,10 +14,10 @@ the same for any field of characteristic zero.
 
 from fractions import Fraction
 
-from ._linalg import (column_space_pivot_rows, nullspace_basis, rank,
-                      reduce_against, transpose)
+from ._linalg import (column_space_pivot_rows, rank, reduce_against,
+                      transpose)
 from .bigraded import (BigradedBettiTable, json_bidegree, json_bidegrees,
-                       json_list)
+                       json_list, json_rational)
 from .errors import (InternalInconsistency, KernelNotFinitelyResolvedInBox,
                      NotContained, NotFiniteLength,
                      NotFiniteLengthWithinBox)
@@ -393,11 +393,19 @@ def bigraded_betti(mod):
 def kernel_generator_degrees(pm, box=None):
     """Degrees (with multiplicity) of minimal kernel generators.
 
-    The kernel of a map of free modules over k[x, y] is itself free,
+    The kernel K of a map of free modules over k[x, y] is itself free,
     of rank (columns - generic rank), so the scan is complete exactly
     when the generators found add up to that rank.  With the default
     box the scan widens until they do; an explicit box that comes up
     short raises KernelNotFinitelyResolvedInBox.
+
+    Generators are counted from kernel dimensions alone.  Write h(alpha)
+    for dim K_alpha: the columns of degree <= alpha minus the rank of
+    the map there.  K sits in the free module F1, so x and y act
+    injectively on K, and xK meets yK in xyK (x a = y b forces a = y c,
+    and phi(c) = 0 because F0 is torsion-free).  The new generators at
+    alpha therefore number h(alpha) - h(alpha - (1,0)) - h(alpha - (0,1))
+    + h(alpha - (1,1)).  The h values are shared by every scan box.
     """
     ncols = len(pm.col_degrees)
     if ncols == 0:
@@ -407,9 +415,10 @@ def kernel_generator_degrees(pm, box=None):
         return []
     lo = (min(a for a, _ in pm.col_degrees),
           min(b for _, b in pm.col_degrees))
+    kernel_dims = {}
     found = {}
     for corner in _scan_corners(pm.col_degrees, box):
-        found = _kernel_scan(pm, lo, corner)
+        found = _kernel_scan(pm, lo, corner, kernel_dims)
         if sum(found.values()) == expected:
             return [(alpha, found[alpha]) for alpha in sorted(found)]
     raise KernelNotFinitelyResolvedInBox(
@@ -417,34 +426,19 @@ def kernel_generator_degrees(pm, box=None):
         f"inside the scan box; enlarge the box")
 
 
-def _kernel_scan(pm, lo, corner):
-    cache = {}
-
-    def kernel_at(alpha):
-        if alpha not in cache:
-            _, cols, matrix = pm.matrix_at(alpha)
-            cache[alpha] = (cols, nullspace_basis(matrix, ncols=len(cols)))
-        return cache[alpha]
+def _kernel_scan(pm, lo, corner, kernel_dims):
+    def h(a, b):
+        if (a, b) not in kernel_dims:
+            _, cols, matrix = pm.matrix_at((a, b))
+            kernel_dims[(a, b)] = len(cols) - rank(matrix)
+        return kernel_dims[(a, b)]
 
     gens = {}
     for a in range(lo[0], corner[0] + 1):
         for b in range(lo[1], corner[1] + 1):
-            alpha = (a, b)
-            cols, basis = kernel_at(alpha)
-            if not basis:
-                continue
-            pos = {c: k for k, c in enumerate(cols)}
-            span = []
-            for prev in ((a - 1, b), (a, b - 1)):
-                pcols, pbasis = kernel_at(prev)
-                for v in pbasis:
-                    w = [Fraction(0)] * len(cols)
-                    for k, c in enumerate(pcols):
-                        w[pos[c]] = v[k]
-                    span.append(w)
-            fresh = len(basis) - (rank(span) if span else 0)
+            fresh = h(a, b) - h(a - 1, b) - h(a, b - 1) + h(a - 1, b - 1)
             if fresh:
-                gens[alpha] = fresh
+                gens[(a, b)] = fresh
     return gens
 
 
@@ -496,7 +490,8 @@ def _json_term(term):
     if not isinstance(term, (list, tuple)) or len(term) != 2:
         raise ValueError(
             f"entries terms must be [coefficient, exponent], got {term!r}")
-    return (term[0], json_bidegree(term[1], "entries exponent"))
+    return (json_rational(term[0], "entries coefficient"),
+            json_bidegree(term[1], "entries exponent"))
 
 
 def presentation_from_json_obj(obj):

@@ -19,6 +19,7 @@ generating function form.
 from fractions import Fraction
 from math import gcd, lcm, prod
 
+from .bigraded import json_int, json_list, json_rational
 from .errors import NonIncreasingDegrees
 
 
@@ -364,10 +365,13 @@ def graded_from_json_obj(obj):
     if not isinstance(obj, dict) or obj.get("kind") != "graded":
         raise ValueError("expected a graded table object")
     entries = {}
-    for item in obj["entries"]:
-        key = (int(item["i"]), int(item["j"]))
-        entries[key] = entries.get(key, Fraction(0)) + Fraction(str(item["b"]))
-    return GradedBettiTable(int(obj["nvars"]), entries)
+    for item in json_list(obj["entries"], "entries"):
+        if not isinstance(item, dict):
+            raise ValueError(f"entries must hold objects, got {item!r}")
+        key = (json_int(item["i"], "i"), json_int(item["j"], "j"))
+        entries[key] = (entries.get(key, Fraction(0))
+                        + json_rational(item["b"], "b"))
+    return GradedBettiTable(json_int(obj["nvars"], "nvars"), entries)
 
 
 def pure_to_json_obj(p):
@@ -381,4 +385,6 @@ def pure_to_json_obj(p):
 def pure_from_json_obj(obj):
     if not isinstance(obj, dict) or obj.get("kind") != "pure":
         raise ValueError("expected a pure table object")
-    return PureTable(obj["degrees"], [int(b) for b in obj["mult"]])
+    return PureTable(
+        [json_int(d, "degrees") for d in json_list(obj["degrees"], "degrees")],
+        [json_int(b, "mult") for b in json_list(obj["mult"], "mult")])

@@ -317,6 +317,21 @@ def test_misnamed_json_key_is_reported_by_name(tmp_path, capsys):
     ("resolve", dict(PACMAN_MODULE, cols=7), "cols"),
     ("resolve", dict(PACMAN_MODULE, entries=[[5]]), "entries"),
     ("resolve", dict(PACMAN_MODULE, entries=[[[["1", 3]]]]), "entries"),
+    ("bigraded check",
+     {"kind": "bigraded", "entries": [{"i": [0], "deg": [0, 0], "b": 1}]},
+     "i must be an integer"),
+    ("bigraded check",
+     {"kind": "bigraded", "entries": [{"i": 1.5, "deg": [0, 0], "b": 1}]},
+     "i must be an integer"),
+    ("resolve", dict(PACMAN_MODULE, entries=[
+        [[[[1], [3, 0]]], [], [], [["1", [0, 2]]]],
+        [[], [["-1", [1, 0]]], [["1", [0, 2]]], []]]),
+     "entries coefficient must be a rational number"),
+    ("decompose", {"kind": "graded", "nvars": 2,
+                   "entries": [{"i": 0, "j": 0, "b": "1/0"}]},
+     "b must be a rational number"),
+    ("decompose", {"kind": "graded", "nvars": 2, "entries": 5},
+     "entries must be a list"),
 ])
 def test_malformed_json_shape_is_reported_by_field(tmp_path, capsys,
                                                    command, obj, field):
