@@ -21,10 +21,9 @@ from .bigraded import (BigradedBettiTable, CERT_EXTREMAL,
 from .bs_cone import Decomposition, decompose_graded, is_pure
 from .errors import (BetticoneError, BoundTooLarge, CollapsedSurvivor,
                      DegenerateSequence, InternalInconsistency,
-                     KernelNotFinitelyResolvedInBox, NoCollapsibleWindow,
-                     NonIncreasingDegrees, NotContained,
-                     NotFiniteLength, NotFiniteLengthWithinBox,
-                     NotInConeCandidate, NotOnHyperplane)
+                     NoCollapsibleWindow, NonIncreasingDegrees,
+                     NotContained, NotFiniteLength, NotInConeCandidate,
+                     NotOnHyperplane)
 from .es_construct import (ESPlan, TwistTable, collapse_step, es_plan,
                            es_ranks, line_bundle_cohomology,
                            render_plan_text, twist_table)

@@ -11,12 +11,11 @@ path given by --dot, never to stdout.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .bigraded import (bigraded_from_json_obj, bigraded_to_json_obj,
                        check_extremality_certificate, count_up_to_swap,
-                       graph_to_dot)
+                       graph_to_dot, json_rational)
 from .bs_cone import decompose_graded
 from .errors import BetticoneError, NotInConeCandidate
 from .es_construct import es_plan, es_ranks, render_plan_text, twist_table
@@ -38,14 +37,17 @@ def _box(text):
     return (box[0], box[1])
 
 def _fractions(text):
-    return [Fraction(part) for part in text.split(",")]
+    return [json_rational(part, "vector") for part in text.split(",")]
 
 def _seq(values):
     return "(" + ",".join(str(v) for v in values) + ")"
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 def _print_json(obj):
     print(json.dumps(obj, indent=2))
@@ -224,8 +226,7 @@ def cmd_bigraded_rays(args):
 
 
 def cmd_resolve(args):
-    box = _box(args.box) if args.box else None
-    module = module_from_json_obj(_load_json(args.module), box=box)
+    module = module_from_json_obj(_load_json(args.module))
     table = bigraded_betti(module)
     verdict = None
     if args.check or args.dot:
@@ -314,13 +315,13 @@ def build_parser():
     p.set_defaults(func=cmd_bigraded_rays)
 
     p = with_json(sub.add_parser(
-        "resolve", help="Betti table of a finite module"))
+        "resolve", help="Betti table of a finite module",
+        description="Betti table of a finite module.  A presentation is "
+        "scanned once over the box its row and column degrees fix."))
     p.add_argument("module", help="module JSON file")
     p.add_argument("--check", action="store_true",
                    help="also run the extremality certificate")
     p.add_argument("--dot", help="write the matching graph as DOT here")
-    p.add_argument("--box", default=None,
-                   help="explicit scan corner for presentations")
     p.set_defaults(func=cmd_resolve)
 
     p = with_json(sub.add_parser("version", help="print the version"))

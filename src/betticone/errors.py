@@ -17,7 +17,7 @@ class InternalInconsistency(BetticoneError):
     """An internal invariant broke: a twist table row collapsed without
     a vanishing factor, a degree plan whose gaps miss the ambient
     dimension, negative Koszul homology, a matrix shape that cannot be
-    read off.
+    read off, kernel generators that miss the generic rank.
 
     Unreachable from valid inputs; kept as a loud guard that, unlike
     assert, survives python -O.
@@ -53,19 +53,16 @@ class DegenerateSequence(BetticoneError):
 
 
 class NotFiniteLength(BetticoneError):
-    """The module (or K-polynomial) fails the finite length criterion."""
+    """The module (or K-polynomial) fails the finite length criterion.
+
+    A presentation's cokernel raises it when it is nonzero where a
+    bidegree coordinate reaches the largest degree of the input, since
+    from there on every piece repeats forever.
+    """
 
 
 class NotContained(BetticoneError):
     """The denominator ideal is not contained in the numerator ideal."""
-
-
-class NotFiniteLengthWithinBox(BetticoneError):
-    """Cokernel dimensions persist at the boundary of the largest box tried."""
-
-
-class KernelNotFinitelyResolvedInBox(BetticoneError):
-    """Kernel generator counts failed to stabilize inside the box."""
 
 
 class BoundTooLarge(BetticoneError):

@@ -18,14 +18,10 @@ from ._linalg import (column_space_pivot_rows, rank, reduce_against,
                       transpose)
 from .bigraded import (BigradedBettiTable, json_bidegree, json_bidegrees,
                        json_list, json_rational)
-from .errors import (InternalInconsistency, KernelNotFinitelyResolvedInBox,
-                     NotContained, NotFiniteLength,
-                     NotFiniteLengthWithinBox)
+from .errors import InternalInconsistency, NotContained, NotFiniteLength
 
 _X = (1, 0)
 _Y = (0, 1)
-
-_GROWTH_MARGINS = (2, 4, 8, 16, 32, 64)
 
 
 def _shift(alpha, step):
@@ -271,54 +267,46 @@ def generic_rank(pm):
     return rank(pm.scalars)
 
 
-def _scan_corners(degrees, box):
-    """Top corners to scan: the explicit box alone, or the degrees'
-    coordinatewise maximum pushed out by each growth margin."""
-    if box is not None:
-        return [(int(box[0]), int(box[1]))]
-    base = (max(a for a, _ in degrees), max(b for _, b in degrees))
-    return [(base[0] + m, base[1] + m) for m in _GROWTH_MARGINS]
+def _corner(degrees):
+    """Coordinatewise maximum of a nonempty list of bidegrees."""
+    return (max(a for a, _ in degrees), max(b for _, b in degrees))
 
 
-def coker_presentation(pm, box=None):
+def coker_presentation(pm):
     """Cokernel of a presentation matrix as a FiniteModule.
 
     In each bidegree the free pieces are spanned by one monomial per
     surviving row or column, the matrix of the map is just the scalar
     grid restricted to those indices, and the cokernel basis is the set
-    of rows missed by the column space pivots.  The result must vanish
-    on the two outermost layers of the scan box; with the default box
-    the scan grows until it does, an explicit box that fails raises
-    NotFiniteLengthWithinBox.
+    of rows missed by the column space pivots.
+
+    The degrees fix the scan box.  Let lo be the coordinatewise minimum
+    of the row degrees and D the coordinatewise maximum of all row and
+    column degrees.  Below lo no row survives, so the cokernel is zero
+    there.  For b fixed and a >= D_a no row or column joins
+    pm.matrix_at((a, b)) as a grows, so the piece at (a, b) is the
+    piece at (D_a, b), and likewise in b.  The cokernel therefore has
+    finite length exactly when it vanishes on the top layer
+    {a = D_a} or {b = D_b} of [lo, D], and then its whole support lies
+    in [lo, D]; a nonzero piece on that layer raises NotFiniteLength.
     """
     if not pm.row_degrees:
         return FiniteModule({}, {}, {})
     lo = (min(a for a, _ in pm.row_degrees),
           min(b for _, b in pm.row_degrees))
-    last_error = None
-    for corner in _scan_corners(pm.row_degrees + pm.col_degrees, box):
-        result = _coker_scan(pm, lo, corner)
-        if result is not None:
-            return result
-        last_error = NotFiniteLengthWithinBox(
-            f"cokernel does not vanish on the boundary of "
-            f"[{lo}, {corner}]")
-    raise last_error
-
-
-def _coker_scan(pm, lo, corner):
-    if corner[0] < lo[0] or corner[1] < lo[1]:
-        return None
+    top = _corner(pm.row_degrees + pm.col_degrees)
     local = {}
-    for a in range(lo[0], corner[0] + 1):
-        for b in range(lo[1], corner[1] + 1):
+    for a in range(lo[0], top[0] + 1):
+        for b in range(lo[1], top[1] + 1):
             alpha = (a, b)
             rows, cols, matrix = pm.matrix_at(alpha)
             basis, pivots = column_space_pivot_rows(matrix)
             free = [k for k in range(len(rows)) if k not in set(pivots)]
+            if free and (a == top[0] or b == top[1]):
+                raise NotFiniteLength(
+                    f"cokernel is nonzero at {alpha} on the top layer of "
+                    f"[{lo}, {top}], so its support is unbounded")
             local[alpha] = (rows, free, basis, pivots)
-            if free and (a >= corner[0] - 1 or b >= corner[1] - 1):
-                return None
     dims = {alpha: len(free) for alpha, (_, free, _, _) in local.items()
             if free}
     mult_x = {}
@@ -390,14 +378,11 @@ def bigraded_betti(mod):
     return BigradedBettiTable(entries)
 
 
-def kernel_generator_degrees(pm, box=None):
-    """Degrees (with multiplicity) of minimal kernel generators.
+def kernel_generator_degrees(pm):
+    """Degrees (with multiplicity) of minimal kernel generators, sorted.
 
     The kernel K of a map of free modules over k[x, y] is itself free,
-    of rank (columns - generic rank), so the scan is complete exactly
-    when the generators found add up to that rank.  With the default
-    box the scan widens until they do; an explicit box that comes up
-    short raises KernelNotFinitelyResolvedInBox.
+    of rank (columns - generic rank).
 
     Generators are counted from kernel dimensions alone.  Write h(alpha)
     for dim K_alpha: the columns of degree <= alpha minus the rank of
@@ -405,7 +390,18 @@ def kernel_generator_degrees(pm, box=None):
     injectively on K, and xK meets yK in xyK (x a = y b forces a = y c,
     and phi(c) = 0 because F0 is torsion-free).  The new generators at
     alpha therefore number h(alpha) - h(alpha - (1,0)) - h(alpha - (0,1))
-    + h(alpha - (1,1)).  The h values are shared by every scan box.
+    + h(alpha - (1,1)).
+
+    The column degrees fix the scan box [lo, C], lo and C being their
+    coordinatewise minimum and maximum.  A nonzero scalar at (r, c)
+    needs row r <= column c, so every nonzero entry of a surviving
+    column lies in a surviving row and h(alpha) depends on the
+    surviving columns only: it is zero unless alpha >= lo and constant
+    in a once a >= C_a (likewise in b).  So no generator lies outside
+    [lo, C], and the counts over [lo, C] telescope to h(C), the columns
+    minus the rank of the whole scalar grid, which is the generic rank.
+    The completeness check below can thus only fail on an internal
+    error.
     """
     ncols = len(pm.col_degrees)
     if ncols == 0:
@@ -415,30 +411,22 @@ def kernel_generator_degrees(pm, box=None):
         return []
     lo = (min(a for a, _ in pm.col_degrees),
           min(b for _, b in pm.col_degrees))
-    kernel_dims = {}
-    found = {}
-    for corner in _scan_corners(pm.col_degrees, box):
-        found = _kernel_scan(pm, lo, corner, kernel_dims)
-        if sum(found.values()) == expected:
-            return [(alpha, found[alpha]) for alpha in sorted(found)]
-    raise KernelNotFinitelyResolvedInBox(
-        f"found {sum(found.values())} of {expected} kernel generators "
-        f"inside the scan box; enlarge the box")
-
-
-def _kernel_scan(pm, lo, corner, kernel_dims):
-    def h(a, b):
-        if (a, b) not in kernel_dims:
+    top = _corner(pm.col_degrees)
+    h = {}
+    for a in range(lo[0], top[0] + 1):
+        for b in range(lo[1], top[1] + 1):
             _, cols, matrix = pm.matrix_at((a, b))
-            kernel_dims[(a, b)] = len(cols) - rank(matrix)
-        return kernel_dims[(a, b)]
-
-    gens = {}
-    for a in range(lo[0], corner[0] + 1):
-        for b in range(lo[1], corner[1] + 1):
-            fresh = h(a, b) - h(a - 1, b) - h(a, b - 1) + h(a - 1, b - 1)
-            if fresh:
-                gens[(a, b)] = fresh
+            h[(a, b)] = len(cols) - rank(matrix)
+    gens = []
+    for (a, b), here in h.items():
+        fresh = (here - h.get((a - 1, b), 0) - h.get((a, b - 1), 0)
+                 + h.get((a - 1, b - 1), 0))
+        if fresh:
+            gens.append(((a, b), fresh))
+    if sum(count for _, count in gens) != expected:
+        raise InternalInconsistency(
+            f"found {sum(count for _, count in gens)} of {expected} kernel "
+            f"generators in [{lo}, {top}]")
     return gens
 
 
@@ -504,7 +492,7 @@ def presentation_from_json_obj(obj):
                               json_bidegrees(obj["cols"], "cols"), entries)
 
 
-def module_from_json_obj(obj, box=None):
+def module_from_json_obj(obj):
     """Build a FiniteModule from either JSON input form."""
     if not isinstance(obj, dict):
         raise ValueError("expected a module object")
@@ -514,5 +502,5 @@ def module_from_json_obj(obj, box=None):
                             json_bidegrees(obj["inner"], "inner"))
         return monomial_quotient(pair)
     if kind == "presentation":
-        return coker_presentation(presentation_from_json_obj(obj), box=box)
+        return coker_presentation(presentation_from_json_obj(obj))
     raise ValueError(f"unknown module kind {kind!r}")

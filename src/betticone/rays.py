@@ -16,7 +16,8 @@ antichains in the box, its quotient module, and the Koszul oracle.
 
 import os
 
-from .bigraded import BigradedBettiTable, check_extremality_certificate
+from .bigraded import (BigradedBettiTable, check_extremality_certificate,
+                       json_int)
 from .errors import BoundTooLarge, NotFiniteLength
 from .module_engine import (PresentationMatrix, bigraded_betti,
                             coker_presentation, dual_module)
@@ -126,7 +127,9 @@ def enumerate_box_rays(bound, max_box=None):
     """
     b1, b2 = int(bound[0]), int(bound[1])
     if max_box is None:
-        max_box = int(os.environ.get("BETTICONE_MAX_BOX", DEFAULT_MAX_BOX))
+        max_box = json_int(os.environ.get("BETTICONE_MAX_BOX",
+                                          DEFAULT_MAX_BOX),
+                           "BETTICONE_MAX_BOX")
     if b1 > max_box or b2 > max_box:
         raise BoundTooLarge(
             f"box {bound} exceeds the guard {max_box}; raise "

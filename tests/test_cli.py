@@ -184,6 +184,16 @@ def test_local_coeffs_off_hyperplane(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["local", "check", "1/0,1"],
+    ["local", "coeffs", "1,1/0"],
+])
+def test_local_zero_denominator_is_reported(capsys, argv):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: vector must be a rational number, got '1/0'\n"
+
+
 def test_local_limit(capsys):
     assert run(["local", "limit", "--i", "0", "--j", "100", "--n", "2"]) == 0
     assert capsys.readouterr().out == "(0,1,101) : 1 101/100 1/100\n"
@@ -275,6 +285,29 @@ def test_resolve_presentation_json(tmp_path, capsys):
     assert entries[(0, (1, 1))] == 1
 
 
+def test_resolve_two_distant_residue_fields(tmp_path, capsys):
+    """Rows (0,0) and (10,10), each killed by x and y: the table needs
+    the second row's relations, far outside any small scan box."""
+    obj = {
+        "kind": "presentation",
+        "rows": [[0, 0], [10, 10]],
+        "cols": [[1, 0], [0, 1], [11, 10], [10, 11]],
+        "entries": [
+            [[["1", [1, 0]]], [["1", [0, 1]]], [], []],
+            [[], [], [["1", [1, 0]]], [["1", [0, 1]]]],
+        ],
+    }
+    path = _write(tmp_path, "two.json", obj)
+    assert run(["resolve", path, "--check"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "beta_0: (0,0) (10,10)",
+        "beta_1: (0,1) (1,0) (10,11) (11,10)",
+        "beta_2: (1,1) (11,11)",
+        "Inconclusive",
+        "  disconnected: 2",
+    ]
+
+
 def test_resolve_writes_dot(tmp_path, capsys):
     path = _write(tmp_path, "sq.json", SQUARE_MODULE)
     dot_path = tmp_path / "sq.dot"
@@ -293,6 +326,21 @@ def test_resolve_infinite_module(tmp_path, capsys):
 def test_resolve_missing_file(capsys):
     assert run(["resolve", "/nonexistent/module.json"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_resolve_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    assert run(["resolve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
+def test_rays_guard_variable_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("BETTICONE_MAX_BOX", "abc")
+    assert run(["bigraded", "rays", "--box", "2,2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: BETTICONE_MAX_BOX must be an integer, got 'abc'\n"
 
 
 def test_misnamed_json_key_is_reported_by_name(tmp_path, capsys):

@@ -22,11 +22,9 @@ from betticone import (
     BigradedBettiTable,
     FiniteModule,
     InternalInconsistency,
-    KernelNotFinitelyResolvedInBox,
     MonomialPair,
     NotContained,
     NotFiniteLength,
-    NotFiniteLengthWithinBox,
     PresentationMatrix,
     bigraded_betti,
     coker_presentation,
@@ -38,7 +36,6 @@ from betticone import (
 )
 from betticone._linalg import nullspace_basis, rank
 from betticone.module_engine import (
-    _scan_corners,
     presentation_from_json_obj,
     presentation_to_json_obj,
 )
@@ -296,22 +293,50 @@ def test_coker_of_koszul_presentation_is_residue_field():
 def test_coker_detects_infinite_length():
     pm = PresentationMatrix(rows=[(0, 0)], cols=[(1, 0)],
                             entries=[[[(1, (1, 0))]]])
-    with pytest.raises(NotFiniteLengthWithinBox):
+    with pytest.raises(NotFiniteLength):
         coker_presentation(pm)
-    with pytest.raises(NotFiniteLengthWithinBox):
-        coker_presentation(pm, box=(9, 9))
 
 
-def test_coker_explicit_box_matches_auto_growth():
-    auto = coker_presentation(HEART)
-    boxed = coker_presentation(HEART, box=(8, 8))
-    assert auto.dims == boxed.dims
-    assert bigraded_betti(auto) == bigraded_betti(boxed)
+def _drop_column(pm, c):
+    obj = presentation_to_json_obj(pm)
+    del obj["cols"][c]
+    for row in obj["entries"]:
+        del row[c]
+    return presentation_from_json_obj(obj)
 
 
-def test_coker_box_too_small_raises():
-    with pytest.raises(NotFiniteLengthWithinBox):
-        coker_presentation(HEART, box=(2, 2))
+def test_coker_scan_box_is_exact():
+    """The cokernel dims equal rows minus rank over a box six steps
+    wider than the degrees' hull, and an infinite cokernel still
+    shows there, on the outermost layer."""
+    rng = random.Random(20121208)
+    outcomes = set()
+    for _ in range(240):
+        pm = _random_presentation(rng)
+        if rng.random() < 0.5:
+            # the first 2 * len(rows) columns are the pure x^p, y^q
+            # relations, one pair per row
+            pm = _drop_column(pm, rng.randrange(2 * len(pm.row_degrees)))
+        lo = (min(a for a, _ in pm.row_degrees),
+              min(b for _, b in pm.row_degrees))
+        degrees = pm.row_degrees + pm.col_degrees
+        far = (max(a for a, _ in degrees) + 6, max(b for _, b in degrees) + 6)
+        dims = {}
+        for a in range(lo[0] - 1, far[0] + 1):
+            for b in range(lo[1] - 1, far[1] + 1):
+                rows, _, matrix = pm.matrix_at((a, b))
+                if len(rows) - rank(matrix):
+                    dims[(a, b)] = len(rows) - rank(matrix)
+        try:
+            module = coker_presentation(pm)
+        except NotFiniteLength:
+            assert any(a == far[0] or b == far[1] for a, b in dims), \
+                presentation_to_json_obj(pm)
+            outcomes.add("infinite")
+        else:
+            assert module.dims == dims, presentation_to_json_obj(pm)
+            outcomes.add("finite")
+    assert outcomes == {"finite", "infinite"}
 
 
 def test_heart_module_dimensions():
@@ -330,6 +355,17 @@ def test_heart_betti_table():
         (1, (3, 0)): 1, (1, (2, 1)): 1, (1, (1, 2)): 1, (1, (0, 3)): 1,
         (2, (2, 2)): 1, (2, (3, 3)): 1,
     }
+
+
+_GROWTH_MARGINS = (2, 4, 8, 16, 32, 64)
+
+
+def _scan_corners(degrees):
+    """The degrees' coordinatewise maximum pushed out by each growth
+    margin: the scan boxes the library tried before it scanned the box
+    the degrees fix."""
+    base = (max(a for a, _ in degrees), max(b for _, b in degrees))
+    return [(base[0] + m, base[1] + m) for m in _GROWTH_MARGINS]
 
 
 def _span_kernel_scan(pm, lo, corner):
@@ -363,14 +399,15 @@ def _span_kernel_scan(pm, lo, corner):
     return gens
 
 
-def _span_kernel_generator_degrees(pm, box=None):
+def _span_kernel_generator_degrees(pm):
     """Reference route for kernel_generator_degrees.
 
     Builds a nullspace basis in every bidegree of the scan box, embeds
     the bases of the two lower neighbours (multiplication by x and by
-    y) and counts the basis vectors their span misses.  The scan
-    boxes, the generic-rank completeness test and the error are the
-    library's; only the per-bidegree count differs.
+    y) and counts the basis vectors their span misses.  The scan box
+    grows by the old growth margins until the generic-rank
+    completeness test passes, so neither the library's box nor its
+    count is shared.
     """
     ncols = len(pm.col_degrees)
     if ncols == 0:
@@ -381,13 +418,13 @@ def _span_kernel_generator_degrees(pm, box=None):
     lo = (min(a for a, _ in pm.col_degrees),
           min(b for _, b in pm.col_degrees))
     found = {}
-    for corner in _scan_corners(pm.col_degrees, box):
+    for corner in _scan_corners(pm.col_degrees):
         found = _span_kernel_scan(pm, lo, corner)
         if sum(found.values()) == expected:
             return [(alpha, found[alpha]) for alpha in sorted(found)]
-    raise KernelNotFinitelyResolvedInBox(
-        f"found {sum(found.values())} of {expected} kernel generators "
-        f"inside the scan box; enlarge the box")
+    raise AssertionError(
+        f"span route found {sum(found.values())} of {expected} kernel "
+        f"generators")
 
 
 def _random_presentation(rng):
@@ -410,13 +447,6 @@ def _random_presentation(rng):
     return PresentationMatrix(rows, [c for c, _ in cols], entries)
 
 
-def _kernel_degrees_or_error(route, pm, box):
-    try:
-        return route(pm, box=box)
-    except KernelNotFinitelyResolvedInBox as exc:
-        return ("KernelNotFinitelyResolvedInBox", str(exc))
-
-
 def test_kernel_degrees_match_the_span_route():
     koszul = PresentationMatrix(
         rows=[(0, 0)], cols=[(1, 0), (0, 1)],
@@ -428,15 +458,9 @@ def test_kernel_degrees_match_the_span_route():
     rng = random.Random(20121207)
     inputs = [PACMAN, HEART, koszul, injective, zero]
     inputs += [_random_presentation(rng) for _ in range(120)]
-    outcomes = set()
     for pm in inputs:
-        for box in (None, (1, 1), (3, 3), (5, 4)):
-            got = _kernel_degrees_or_error(kernel_generator_degrees, pm, box)
-            want = _kernel_degrees_or_error(
-                _span_kernel_generator_degrees, pm, box)
-            assert got == want, (presentation_to_json_obj(pm), box)
-            outcomes.add(isinstance(got, tuple))
-    assert outcomes == {False, True}
+        assert kernel_generator_degrees(pm) == \
+            _span_kernel_generator_degrees(pm), presentation_to_json_obj(pm)
 
 
 def test_kernel_degrees_of_pacman_presentation():
@@ -457,11 +481,6 @@ def test_kernel_degrees_of_zero_map_are_column_degrees():
     zero = PresentationMatrix(rows=[(0, 0)], cols=[(1, 0), (0, 1)],
                               entries=[[[], []]])
     assert kernel_generator_degrees(zero) == [((0, 1), 1), ((1, 0), 1)]
-
-
-def test_kernel_degrees_in_too_small_box():
-    with pytest.raises(KernelNotFinitelyResolvedInBox):
-        kernel_generator_degrees(PACMAN, box=(1, 1))
 
 
 def test_second_syzygies_match_kernel_scan():
