@@ -71,7 +71,8 @@ class BigradedBettiTable:
 
     def canonical_key(self):
         """Hashable form of the gcd-normalized table (scalar classes)."""
-        return frozenset(self.gcd_normalized().entries.items())
+        g = gcd(*self.entries.values())
+        return frozenset((key, c // g) for key, c in self.entries.items())
 
     def __eq__(self, other):
         if isinstance(other, BigradedBettiTable):
@@ -269,9 +270,11 @@ def count_up_to_swap(tables):
     """Number of scalar classes after also identifying x with y."""
     seen = set()
     for t in tables:
-        key = tuple(sorted(t.canonical_key()))
-        swapped = tuple(sorted(t.swap_xy().canonical_key()))
-        seen.add(min(key, swapped))
+        g = gcd(*t.entries.values())
+        key = sorted((e, c // g) for e, c in t.entries.items())
+        swapped = sorted(((i, (b, a)), c // g)
+                         for (i, (a, b)), c in t.entries.items())
+        seen.add(tuple(min(key, swapped)))
     return len(seen)
 
 

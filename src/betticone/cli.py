@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .bigraded import (bigraded_from_json_obj, bigraded_to_json_obj,
                        check_extremality_certificate, count_up_to_swap,
-                       graph_to_dot, json_rational)
+                       graph_to_dot, json_int, json_rational)
 from .bs_cone import decompose_graded
 from .errors import BetticoneError, NotInConeCandidate
 from .es_construct import es_plan, es_ranks, render_plan_text, twist_table
@@ -27,11 +27,11 @@ from .tables import (graded_from_json_obj, graded_to_json_obj,
                      hk_pure_table, pure_to_json_obj)
 
 
-def _ints(text):
-    return [int(part) for part in text.split(",")]
+def _ints(text, field):
+    return [json_int(part, field) for part in text.split(",")]
 
 def _box(text):
-    box = _ints(text)
+    box = _ints(text, "--box")
     if len(box) != 2:
         raise ValueError("--box takes two comma-separated integers")
     return (box[0], box[1])
@@ -54,7 +54,7 @@ def _print_json(obj):
 
 
 def cmd_hk(args):
-    pure = hk_pure_table(_ints(args.degrees))
+    pure = hk_pure_table(_ints(args.degrees, "degrees"))
     if args.json:
         _print_json(pure_to_json_obj(pure))
     else:
@@ -64,7 +64,7 @@ def cmd_hk(args):
 
 
 def cmd_es_plan(args):
-    plan = es_plan(_ints(args.degrees))
+    plan = es_plan(_ints(args.degrees, "degrees"))
     ranks = es_ranks(plan)
     if args.json:
         table = twist_table(plan)
@@ -208,6 +208,9 @@ def cmd_bigraded_check(args):
 
 def cmd_bigraded_rays(args):
     box = _box(args.box)
+    if args.max_box is not None and args.max_box < 0:
+        raise ValueError(
+            f"--max-box must be a nonnegative integer, got {args.max_box}")
     rays = enumerate_box_rays(box, max_box=args.max_box)
     swap_count = count_up_to_swap(rays)
     if args.json:

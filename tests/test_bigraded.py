@@ -5,7 +5,9 @@ that share no code with the library's region walk and corner count:
 every pair of generator antichains in the box through the Koszul
 oracle, and every subset of the low grid kept when it is shaped like a
 staircase region.  Agreement between the routes is the completeness
-evidence for the box scan.
+evidence for the box scan.  The unpruned region walk kept here is the
+reference for the library's pruned walk: the pruned walk may only
+leave out regions whose tables fail the certificate.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from betticone.bigraded import (
     bigraded_from_json_obj,
     bigraded_to_json_obj,
 )
-from betticone.rays import staircase_betti, staircase_regions
+from betticone.rays import pruned_regions, staircase_betti
 
 KOSZUL_ENTRIES = {
     (0, (0, 0)): 1,
@@ -399,6 +401,38 @@ def _antichain_box_rays(bound):
     return sorted(found.values(), key=lambda t: sorted(t.entries.items()))
 
 
+def staircase_regions(bound_a, bound_b):
+    """Every nonempty staircase region inside [0, bound_a) x [0, bound_b).
+
+    A region is a set S = I minus J for monomial ideals J inside I,
+    that is, an order-convex set of exponent pairs.  It is yielded once,
+    as a tuple of bound_a columns, each None (empty) or a pair (l, u)
+    for the cells (a, l) .. (a, u - 1).  The walk carries the column
+    starts p of the up-set U = up(S) and q of V = U minus S, both
+    bound_b before the first cell: a column is empty, which leaves U's
+    start at p and forces V's start there too, or an interval [l, u)
+    with l <= p (else U's cell (a, p) would sit in V below S) and
+    u <= q (V is closed upward).  Regions are generated lazily.
+    """
+    columns = []
+
+    def walk(a, p, q):
+        if a == bound_a:
+            if any(columns):
+                yield tuple(columns)
+            return
+        columns.append(None)
+        yield from walk(a + 1, p, p)
+        columns.pop()
+        for low in range(min(p, bound_b - 1) + 1):
+            for high in range(low + 1, q + 1):
+                columns.append((low, high))
+                yield from walk(a + 1, low, high)
+                columns.pop()
+
+    yield from walk(0, bound_b, bound_b)
+
+
 def _cells(columns):
     return {(a, b) for a, col in enumerate(columns) if col
             for b in range(*col)}
@@ -434,3 +468,40 @@ def test_region_counts_per_box():
 def test_enumerate_box_five_count():
     rays = enumerate_box_rays((5, 5))
     assert len(rays) == 2698
+
+
+def _is_subsequence(short, long):
+    rest = iter(long)
+    return all(any(item == other for other in rest) for item in short)
+
+
+def _check_pruned_walk(b1, b2):
+    """The pruned walk leaves regions out of the reference walk and
+    nothing else, pairs each region with its corner-count table, and
+    keeps every region whose table certifies; returns how many it
+    keeps."""
+    pruned = list(pruned_regions(b1, b2))
+    kept = [columns for columns, _ in pruned]
+    for columns, table in pruned:
+        assert table == staircase_betti(columns), columns
+    reference = list(staircase_regions(b1, b2))
+    assert _is_subsequence(kept, reference), (b1, b2)
+    kept = set(kept)
+    for columns in reference:
+        if columns not in kept:
+            verdict = check_extremality_certificate(staircase_betti(columns))
+            assert not verdict.is_extremal(), columns
+    return len(kept)
+
+
+def test_pruned_walk_keeps_every_certified_region_up_to_box_five():
+    counts = {(b1, b2): _check_pruned_walk(b1, b2)
+              for b1 in range(6) for b2 in range(6)}
+    assert [counts[(b, b)] for b in range(2, 6)] == [11, 74, 468, 3080]
+    assert counts[(5, 3)] == 340
+
+
+@pytest.mark.slow
+def test_pruned_walk_and_rays_at_box_six():
+    assert _check_pruned_walk(6, 6) == 21158
+    assert len(enumerate_box_rays((6, 6))) == 17382

@@ -343,6 +343,23 @@ def test_rays_guard_variable_must_be_an_integer(monkeypatch, capsys):
     assert err == "error: BETTICONE_MAX_BOX must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bigraded", "rays", "--box", "1e3,2"],
+     "--box must be an integer, got '1e3'"),
+    (["bigraded", "rays", "--box", "2,"],
+     "--box must be an integer, got ''"),
+    (["hk", "0,a"], "degrees must be an integer, got 'a'"),
+    (["es-plan", "0,1.5,3"], "degrees must be an integer, got '1.5'"),
+    (["bigraded", "rays", "--box", "3,3", "--max-box", "-3"],
+     "--max-box must be a nonnegative integer, got -3"),
+])
+def test_integer_list_errors_name_the_field(capsys, argv, message):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_misnamed_json_key_is_reported_by_name(tmp_path, capsys):
     obj = {"kind": "bigraded", "entries": [{"i": 0, "a": [0, 0], "b": "1"}]}
     path = _write(tmp_path, "badkey.json", obj)
