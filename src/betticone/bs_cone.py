@@ -11,10 +11,11 @@ diagnostics, never as a certificate of non-membership.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import NotInConeCandidate
 from .tables import (DegreeSequence, GradedBettiTable, check_hk_equations,
-                     hk_pure_table)
+                     clear_denominators, hk_pure_table)
 
 
 class Decomposition:
@@ -79,41 +80,60 @@ def decompose_graded(t):
     NotInConeCandidate (carrying the partial decomposition) when the
     input fails a precondition or the greedy chain gets stuck with a
     nonzero residual.
+
+    The greedy runs on integer numerators over one common scale: the
+    entries are cleared once, and a step whose coefficient has a new
+    denominator multiplies the numerators and the scale by it.
     """
-    def stuck(msg, parts, residual_entries):
-        residual = GradedBettiTable(t.nvars, residual_entries)
+    if not check_hk_equations(t):
+        raise NotInConeCandidate(
+            "table fails the Herzog-Kuhl equations; not a finite length "
+            "candidate", Decomposition([], t))
+
+    work, scale = clear_denominators(t.entries)
+
+    def stuck(msg, parts):
+        residual = GradedBettiTable(
+            t.nvars, {key: Fraction(w, scale) for key, w in work.items()})
         raise NotInConeCandidate(msg, Decomposition(parts, residual))
 
-    if not check_hk_equations(t):
-        stuck("table fails the Herzog-Kuhl equations; "
-              "not a finite length candidate", [], t.entries)
-
-    work = dict(t.entries)
     parts = []
     while work:
-        pd = max(i for i, _ in work)
+        lowest = {}
+        for i, j in work:
+            if j < lowest.get(i, j + 1):
+                lowest[i] = j
+        pd = max(lowest)
         if pd != t.nvars:
             stuck(f"projective dimension {pd} != nvars {t.nvars}; "
-                  "greedy chain stuck", parts, work)
-        degrees = []
+                  "greedy chain stuck", parts)
         for i in range(pd + 1):
-            js = [j for (k, j) in work if k == i]
-            if not js:
+            if i not in lowest:
                 stuck(f"no entry left in column {i}; greedy chain stuck",
-                      parts, work)
-            degrees.append(min(js))
+                      parts)
+        degrees = [lowest[i] for i in range(pd + 1)]
         if any(a >= b for a, b in zip(degrees, degrees[1:])):
             stuck(f"minimal degrees {degrees} are not strictly "
-                  "increasing; greedy chain stuck", parts, work)
+                  "increasing; greedy chain stuck", parts)
         pure = hk_pure_table(degrees)
-        c = min(work[(i, d)] / b
-                for i, (d, b) in enumerate(zip(degrees,
-                                               pure.multiplicities)))
-        for i, (d, b) in enumerate(zip(degrees, pure.multiplicities)):
-            remaining = work[(i, d)] - c * b
+        keys = list(enumerate(degrees))
+        mult = pure.multiplicities
+        # The coefficient is min_i work_i / b_i, compared by
+        # cross-multiplying; num / den is it in units of 1 / scale.
+        num, den = work[keys[0]], mult[0]
+        for key, b in zip(keys, mult):
+            if work[key] * den < num * b:
+                num, den = work[key], b
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        if den != 1:
+            work = {key: w * den for key, w in work.items()}
+            scale *= den
+        for key, b in zip(keys, mult):
+            remaining = work[key] - num * b
             if remaining:
-                work[(i, d)] = remaining
+                work[key] = remaining
             else:
-                del work[(i, d)]
-        parts.append((Fraction(c), pure))
+                del work[key]
+        parts.append((Fraction(num, scale), pure))
     return Decomposition(parts, GradedBettiTable(t.nvars, {}))

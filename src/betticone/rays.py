@@ -191,10 +191,13 @@ def enumerate_box_rays(bound, max_box=None):
     the Koszul oracle.
     """
     b1, b2 = int(bound[0]), int(bound[1])
+    field = "max_box"
     if max_box is None:
-        max_box = json_int(os.environ.get("BETTICONE_MAX_BOX",
-                                          DEFAULT_MAX_BOX),
-                           "BETTICONE_MAX_BOX")
+        field = "BETTICONE_MAX_BOX"
+        max_box = json_int(os.environ.get(field, DEFAULT_MAX_BOX), field)
+    if max_box < 0:
+        raise ValueError(
+            f"{field} must be a nonnegative integer, got {max_box}")
     if b1 > max_box or b2 > max_box:
         raise BoundTooLarge(
             f"box {bound} exceeds the guard {max_box}; raise "

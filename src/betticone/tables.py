@@ -14,6 +14,12 @@ determined up to scalar; the minimal integral solution is
 This module also carries the numerator of the Hilbert series, whose
 divisibility by (1-t)^n is the same finite length condition in
 generating function form.
+
+The graded layer clears denominators once per table and then computes
+in plain integers: the Herzog-Kuhl test, the numerator and the greedy
+of bs_cone work on the numerators over the lcm of the entries'
+denominators, and the pure multiplicities come from integer products
+of degree differences.  Entries and results stay exact Fractions.
 """
 
 from fractions import Fraction
@@ -88,7 +94,8 @@ class GradedBettiTable:
             raise ValueError("nvars must be nonnegative")
         clean = {}
         for (i, j), b in dict(entries).items():
-            b = Fraction(b)
+            if type(b) is not Fraction:  # a Fraction is kept, not copied
+                b = Fraction(b)
             if b == 0:
                 continue
             if b < 0:
@@ -185,6 +192,15 @@ class PureTable:
                 f"{list(self.multiplicities)!r})")
 
 
+def _integral(value, field):
+    """value as an int, else a ValueError naming the field; a
+    non-integral value is refused rather than truncated."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{field} must be an integer, got {value}")
+    return n
+
+
 class HilbertNumerator:
     """Integer Laurent polynomial sum_j c_j t^j with a positive scale.
 
@@ -196,11 +212,15 @@ class HilbertNumerator:
     __slots__ = ("coefficients", "scale")
 
     def __init__(self, coefficients, scale=1):
-        scale = int(scale)
+        scale = _integral(scale, "scale")
         if scale <= 0:
             raise ValueError("scale must be a positive integer")
-        clean = {int(j): int(c) for j, c in dict(coefficients).items()
-                 if int(c) != 0}
+        clean = {}
+        for j, c in dict(coefficients).items():
+            j = _integral(j, "degree")
+            c = _integral(c, f"coefficient of t^{j}")
+            if c:
+                clean[j] = c
         g = gcd(scale, *map(abs, clean.values())) if clean else scale
         self.coefficients = {j: c // g for j, c in clean.items()}
         self.scale = scale // g
@@ -252,8 +272,30 @@ def normalize_positive_integers(values):
     return tuple(v // g for v in ints)
 
 
+def clear_denominators(entries):
+    """Integer numerators of a table's entries over one common scale.
+
+    Returns (numerators, m): m is the lcm of the entries' denominators
+    and numerators maps (i, j) -> m * beta_{i,j}, a plain int.
+    """
+    m = lcm(*(b.denominator for b in entries.values()))
+    return {key: b.numerator * (m // b.denominator)
+            for key, b in entries.items()}, m
+
+
+def _folded(numerators):
+    """j -> sum_i (-1)^i c_{i,j} over integer numerators c."""
+    folded = {}
+    for (i, j), c in numerators.items():
+        folded[j] = folded.get(j, 0) + (-c if i % 2 else c)
+    return folded
+
+
 def hk_pure_table(d):
     """Minimal positive integral solution of the Herzog-Kuhl system.
+
+    With P_i = prod_{l != i} |d_i - d_l| the solution is proportional to
+    1 / P_i, so the multiplicities are lcm(P) / P_i divided by their gcd.
 
     >>> hk_pure_table([0, 1, 3, 5]).multiplicities
     (8, 15, 10, 3)
@@ -263,38 +305,40 @@ def hk_pure_table(d):
     d = as_degree_sequence(d)
     if len(d) == 1:
         return PureTable(d, (1,))
-    vals = [Fraction(1, prod(abs(di - dl) for l, dl in enumerate(d)
-                             if l != i))
-            for i, di in enumerate(d)]
-    return PureTable(d, normalize_positive_integers(vals))
+    degs = d.degrees
+    products = [abs(prod([di - dl for dl in degs if dl != di]))
+                for di in degs]
+    m = lcm(*products)
+    ints = [m // p for p in products]
+    g = gcd(*ints)
+    return PureTable(d, tuple(v // g for v in ints))
 
 
 def check_hk_equations(t):
-    """True iff sum_{i,j} (-1)^i j^k beta_{i,j} = 0 for 0 <= k < nvars."""
-    for k in range(t.nvars):
-        total = Fraction(0)
-        for (i, j), b in t.entries.items():
-            term = b * j ** k
-            total += -term if i % 2 else term
-        if total != 0:
+    """True iff sum_{i,j} (-1)^i j^k beta_{i,j} = 0 for 0 <= k < nvars.
+
+    The equations are tested on the signed numerators c_j folded by
+    internal degree, stepping c_j <- c_j * j from one power of j to the
+    next.
+    """
+    folded = _folded(clear_denominators(t.entries)[0])
+    degrees = list(folded)
+    moments = list(folded.values())
+    for _ in range(t.nvars):
+        if sum(moments):
             return False
+        moments = [c * j for c, j in zip(moments, degrees)]
     return True
 
 
 def hilbert_numerator(t):
     """Numerator sum_j (sum_i (-1)^i beta_{i,j}) t^j of the Hilbert series.
 
-    Rational entries are cleared to a common denominator; the clearing
-    factor is kept on the result as .scale.
+    Rational entries are cleared to a common denominator before they
+    are folded; the clearing factor is kept on the result as .scale.
     """
-    raw = {}
-    for (i, j), b in t.entries.items():
-        raw[j] = raw.get(j, Fraction(0)) + (-b if i % 2 else b)
-    raw = {j: c for j, c in raw.items() if c != 0}
-    if not raw:
-        return HilbertNumerator({}, 1)
-    m = lcm(*(c.denominator for c in raw.values()))
-    return HilbertNumerator({j: int(c * m) for j, c in raw.items()}, m)
+    numerators, m = clear_denominators(t.entries)
+    return HilbertNumerator(_folded(numerators), m)
 
 
 def is_finite_length_numerator(h, nvars):

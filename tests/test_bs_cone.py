@@ -8,14 +8,17 @@ partial decomposition on the exception.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from betticone import (
+    Decomposition,
     DegreeSequence,
     GradedBettiTable,
     NotInConeCandidate,
+    check_hk_equations,
     decompose_graded,
     hk_pure_table,
     is_pure,
@@ -161,3 +164,110 @@ def test_random_combinations_decompose_exactly():
         # greedy merges same-degree picks, so at most npieces parts
         # cannot be asserted; termination bound is entry count
         assert len(d.parts) <= len(total.entries)
+
+
+def _fraction_decompose_graded(t):
+    """The greedy over Fraction entries that the library's integer
+    greedy replaced, kept as an independent route."""
+    def stuck(msg, parts, residual_entries):
+        residual = GradedBettiTable(t.nvars, residual_entries)
+        raise NotInConeCandidate(msg, Decomposition(parts, residual))
+
+    if not check_hk_equations(t):
+        stuck("table fails the Herzog-Kuhl equations; "
+              "not a finite length candidate", [], t.entries)
+
+    work = dict(t.entries)
+    parts = []
+    while work:
+        pd = max(i for i, _ in work)
+        if pd != t.nvars:
+            stuck(f"projective dimension {pd} != nvars {t.nvars}; "
+                  "greedy chain stuck", parts, work)
+        degrees = []
+        for i in range(pd + 1):
+            js = [j for (k, j) in work if k == i]
+            if not js:
+                stuck(f"no entry left in column {i}; greedy chain stuck",
+                      parts, work)
+            degrees.append(min(js))
+        if any(a >= b for a, b in zip(degrees, degrees[1:])):
+            stuck(f"minimal degrees {degrees} are not strictly "
+                  "increasing; greedy chain stuck", parts, work)
+        pure = hk_pure_table(degrees)
+        c = min(work[(i, d)] / b
+                for i, (d, b) in enumerate(zip(degrees,
+                                               pure.multiplicities)))
+        for i, (d, b) in enumerate(zip(degrees, pure.multiplicities)):
+            remaining = work[(i, d)] - c * b
+            if remaining:
+                work[(i, d)] = remaining
+            else:
+                del work[(i, d)]
+        parts.append((Fraction(c), pure))
+    return Decomposition(parts, GradedBettiTable(t.nvars, {}))
+
+
+def _greedy_outcome(decompose, t):
+    try:
+        d, message = decompose(t), None
+    except NotInConeCandidate as exc:
+        d, message = exc.decomposition, str(exc)
+    return message, d.parts, d.residual
+
+
+def _random_greedy_input(rng, perturbed):
+    """A rational table for the greedy over 1..5 variables, degrees
+    from -3 up.  It sums pure tables along a chain of degree sequences
+    or over random ones, with coefficients of mixed denominators.  A
+    third of the unperturbed tables then lose a multiple of a pure
+    table inside their support, which keeps them on the Herzog-Kuhl
+    hyperplane but often takes them out of the cone; a perturbed table
+    gets one more rational entry, which takes it off the hyperplane."""
+    nvars = rng.randint(1, 5)
+    table = GradedBettiTable(nvars, {})
+    degrees = [rng.randint(-3, 0)]
+    for _ in range(nvars):
+        degrees.append(degrees[-1] + rng.randint(1, 3))
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            cut = rng.randint(0, nvars)
+            degrees = [d + (i >= cut) for i, d in enumerate(degrees)]
+        else:
+            degrees = sorted(rng.sample(range(-3, 13), nvars + 1))
+        table = table.add(hk_pure_table(degrees).to_graded().scaled(
+            Fraction(rng.randint(1, 9), rng.randint(1, 12))))
+    if perturbed:
+        return table.add(GradedBettiTable(nvars, {
+            (rng.randint(0, nvars), rng.randint(-3, 14)):
+            Fraction(rng.randint(1, 9), rng.randint(1, 12))}))
+    if rng.random() < 1 / 3:
+        column = [sorted(table.column(i)) for i in range(nvars + 1)]
+        degrees = [rng.choice(js) for js in column]
+        if all(a < b for a, b in zip(degrees, degrees[1:])):
+            pure = hk_pure_table(degrees)
+            most = min(table.entry(i, d) / b for i, (d, b)
+                       in enumerate(zip(degrees, pure.multiplicities)))
+            cut = pure.to_graded(nvars).scaled(
+                most * rng.choice((Fraction(1, 2), Fraction(1))))
+            entries = dict(table.entries)
+            for key, b in cut.entries.items():
+                entries[key] -= b
+            table = GradedBettiTable(nvars, entries)
+    return table
+
+
+def test_integer_greedy_matches_fraction_greedy_on_rational_tables():
+    """Parts, residual and message agree with the Fraction greedy on
+    2000 seeded rational tables, half of them off the hyperplane."""
+    rng = random.Random(20261018)
+    outcomes = Counter()
+    for k in range(2000):
+        t = _random_greedy_input(rng, perturbed=k % 2 == 1)
+        got = _greedy_outcome(decompose_graded, t)
+        assert got == _greedy_outcome(_fraction_decompose_graded, t)
+        message = got[0]
+        outcomes[message.split(";")[0].split()[0] if message else "ok"] += 1
+    assert outcomes["table"] == 1000
+    assert outcomes["ok"] >= 500
+    assert sum(outcomes.values()) - outcomes["table"] - outcomes["ok"] >= 40

@@ -16,6 +16,7 @@ import pytest
 from betticone import (
     bigraded_betti,
     bigraded,
+    enumerate_box_rays,
     hk_pure_table,
     monomial_quotient,
     MonomialPair,
@@ -343,6 +344,19 @@ def test_rays_guard_variable_must_be_an_integer(monkeypatch, capsys):
     assert err == "error: BETTICONE_MAX_BOX must be an integer, got 'abc'\n"
 
 
+def test_rays_guard_variable_must_be_nonnegative(monkeypatch, capsys):
+    monkeypatch.setenv("BETTICONE_MAX_BOX", "-3")
+    assert run(["bigraded", "rays", "--box", "2,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: BETTICONE_MAX_BOX must be a "
+                            "nonnegative integer, got -3\n")
+    monkeypatch.delenv("BETTICONE_MAX_BOX")
+    with pytest.raises(ValueError,
+                       match="max_box must be a nonnegative integer, got -1"):
+        enumerate_box_rays((0, 0), max_box=-1)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bigraded", "rays", "--box", "1e3,2"],
      "--box must be an integer, got '1e3'"),
@@ -421,3 +435,12 @@ def test_console_script_is_installed():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "(0,1,2) : 1 2 1\n"
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "betticone", "hk", "0,1,3,5"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "(0,1,3,5) : 8 15 10 3\n"
+    assert proc.stderr == ""

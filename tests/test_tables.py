@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from betticone import (
     pure_from_json_obj,
     pure_to_json_obj,
 )
+from betticone.tables import as_degree_sequence
 
 # degree sequence -> minimal positive integer multiplicities
 HK_FIXTURES = {
@@ -269,3 +272,129 @@ def test_hk_equations_iff_numerator_divisible():
         div = is_finite_length_numerator(hilbert_numerator(broken),
                                          broken.nvars)
         assert eq == div
+
+
+# The library clears denominators once and computes in int.  These are
+# the Fraction bodies it replaced, kept as an independent route.
+
+def _fraction_hk_pure_table(d):
+    d = as_degree_sequence(d)
+    if len(d) == 1:
+        return PureTable(d, (1,))
+    vals = [Fraction(1, prod(abs(di - dl) for l, dl in enumerate(d)
+                             if l != i))
+            for i, di in enumerate(d)]
+    return PureTable(d, normalize_positive_integers(vals))
+
+
+def _fraction_check_hk_equations(t):
+    for k in range(t.nvars):
+        total = Fraction(0)
+        for (i, j), b in t.entries.items():
+            term = b * j ** k
+            total += -term if i % 2 else term
+        if total != 0:
+            return False
+    return True
+
+
+def _fraction_hilbert_numerator(t):
+    raw = {}
+    for (i, j), b in t.entries.items():
+        raw[j] = raw.get(j, Fraction(0)) + (-b if i % 2 else b)
+    raw = {j: c for j, c in raw.items() if c != 0}
+    if not raw:
+        return HilbertNumerator({}, 1)
+    m = lcm(*(c.denominator for c in raw.values()))
+    return HilbertNumerator({j: int(c * m) for j, c in raw.items()}, m)
+
+
+def _random_rational_table(rng, perturbed):
+    """A sum of pure tables over 0..5 variables with degrees in -3..12
+    and coefficients of mixed denominators (sometimes no part at all);
+    a perturbed table gets one more rational entry, which moves it off
+    the Herzog-Kuhl hyperplane whenever nvars > 0."""
+    nvars = rng.randint(0, 5)
+    table = GradedBettiTable(nvars, {})
+    for _ in range(rng.choice((0, 1, 2, 2, 3, 3))):
+        degs = sorted(rng.sample(range(-3, 13), nvars + 1))
+        table = table.add(hk_pure_table(degs).to_graded().scaled(
+            Fraction(rng.randint(1, 9), rng.randint(1, 12))))
+    if perturbed:
+        bump = GradedBettiTable(nvars, {
+            (rng.randint(0, nvars), rng.randint(-3, 12)):
+            Fraction(rng.randint(1, 9), rng.randint(1, 12))})
+        table = table.add(bump)
+    return table
+
+
+def test_integer_kernels_match_fraction_routes_on_rational_tables():
+    rng = random.Random(20261018)
+    off = 0
+    for k in range(2000):
+        t = _random_rational_table(rng, perturbed=k % 2 == 1)
+        hk = _fraction_check_hk_equations(t)
+        off += not hk
+        assert check_hk_equations(t) == hk
+        h = hilbert_numerator(t)
+        assert h == _fraction_hilbert_numerator(t)
+        assert is_finite_length_numerator(h, t.nvars) == hk
+    # perturbed tables over nvars = 0 stay on the (empty) hyperplane
+    assert 800 <= off <= 1000
+
+
+def test_integer_multiplicities_match_fraction_route_on_every_sequence():
+    count = 0
+    for length in range(1, 8):
+        for degs in combinations(range(-3, 13), length):
+            assert (hk_pure_table(degs).multiplicities
+                    == _fraction_hk_pure_table(degs).multiplicities)
+            count += 1
+    assert count == 26332
+
+
+_NEGATIVE_MIXED = hk_pure_table([-3, -1, 0, 2]).to_graded().scaled(
+    Fraction(2, 3)).add(
+    hk_pure_table([-2, -1, 1, 4]).to_graded().scaled(Fraction(5, 7))).entries
+
+
+@pytest.mark.parametrize("entries, verdicts", [
+    # the empty table: the zero numerator, divisible by every power
+    ({}, {0: True, 1: True, 4: True}),
+    # nvars = 0 asks nothing, whatever the entries
+    ({(0, -2): Fraction(3, 4)}, {0: True}),
+    # entries that cancel within one degree across denominators:
+    # (t - t^2) / 3
+    ({(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2),
+      (0, 1): Fraction(1, 3), (1, 2): Fraction(1, 3)},
+     {1: True, 2: False, 3: False}),
+    # a pure table over negative degrees: t^-2 (1 - t^2)^2
+    ({(0, -2): 1, (1, 0): 2, (2, 2): 1}, {2: True, 3: False}),
+    # pure tables over negative degrees with mixed denominators, then
+    # one more entry at a negative degree
+    (_NEGATIVE_MIXED, {3: True}),
+    ({**_NEGATIVE_MIXED, (2, -3): Fraction(1, 6)}, {3: False}),
+    ({**_NEGATIVE_MIXED, (0, -3): _NEGATIVE_MIXED[(0, -3)] + 1},
+     {3: False, 4: False}),
+])
+def test_hk_equations_iff_numerator_divisible_on_edge_cases(entries,
+                                                            verdicts):
+    for nvars, want in verdicts.items():
+        t = GradedBettiTable(nvars, entries)
+        assert check_hk_equations(t) == want
+        assert _fraction_check_hk_equations(t) == want
+        h = hilbert_numerator(t)
+        assert h == _fraction_hilbert_numerator(t)
+        assert is_finite_length_numerator(h, nvars) == want
+
+
+def test_hilbert_numerator_refuses_non_integral_values():
+    with pytest.raises(ValueError, match=r"coefficient of t\^0 must be an "
+                                         r"integer, got 1/2"):
+        HilbertNumerator({0: Fraction(1, 2), 1: Fraction(-1, 2)})
+    with pytest.raises(ValueError, match="scale must be an integer"):
+        HilbertNumerator({0: 1}, Fraction(3, 2))
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        HilbertNumerator({Fraction(1, 2): 1})
+    h = HilbertNumerator({0: Fraction(4, 2), 1: -2.0}, Fraction(6, 3))
+    assert h == HilbertNumerator({0: 1, 1: -1})
