@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: row reduction and rank.
 
 Matrices are lists of row lists with Fraction entries.  Everything here
 is dense and small: the oracle only ever sees a handful of basis
@@ -8,25 +8,8 @@ pivots beats any clever sparse structure.
 
 from fractions import Fraction
 
-from .errors import InternalInconsistency
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def zero_matrix(nrows, ncols):
-    return [[ZERO] * ncols for _ in range(nrows)]
-
-
-def identity_matrix(n):
-    m = zero_matrix(n, n)
-    for i in range(n):
-        m[i][i] = ONE
-    return m
-
-
-def copy_matrix(m):
-    return [row[:] for row in m]
 
 
 def transpose(m):
@@ -37,7 +20,7 @@ def transpose(m):
 
 def rref(m):
     """Row-reduce a copy of m; returns (reduced rows, pivot column list)."""
-    rows = copy_matrix(m)
+    rows = [row[:] for row in m]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -69,30 +52,6 @@ def rank(m):
     return len(rref(m)[1])
 
 
-def nullspace_basis(m, ncols=None):
-    """Basis of {v : m v = 0} as a list of length-ncols vectors.
-
-    ncols must be supplied when m has no rows (the kernel is then all
-    of the ncols-dimensional space).
-    """
-    if not m:
-        if ncols is None:
-            raise InternalInconsistency("need ncols for an empty matrix")
-        return [row[:] for row in identity_matrix(ncols)]
-    ncols = len(m[0])
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        basis.append(v)
-    return basis
-
-
 def column_space_pivot_rows(m):
     """Coordinates (row indices) spanned by the columns of m.
 
@@ -104,14 +63,3 @@ def column_space_pivot_rows(m):
     reduced, pivots = rref(transpose(m))
     basis = [reduced[i] for i in range(len(pivots))]
     return basis, pivots
-
-
-def reduce_against(v, basis, pivots):
-    """Subtract basis rows (in rref form with given pivots) to clear
-    the pivot coordinates of v.  Returns the reduced vector."""
-    v = v[:]
-    for row, p in zip(basis, pivots):
-        if v[p]:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v

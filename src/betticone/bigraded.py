@@ -30,12 +30,12 @@ class BigradedBettiTable:
     def __init__(self, entries):
         clean = {}
         for (i, alpha), count in dict(entries).items():
-            count = int(count)
+            count = integral(count, "count")
             if count == 0:
                 continue
             if count < 0:
                 raise ValueError(f"negative count at ({i}, {alpha})")
-            i = int(i)
+            i = integral(i, "homological degree")
             if i not in (0, 1, 2):
                 raise ValueError(
                     f"homological degree {i} impossible over two variables")
@@ -60,9 +60,7 @@ class BigradedBettiTable:
         return sorted({alpha for _, alpha in self.entries})
 
     def gcd_normalized(self):
-        g = gcd(*self.entries.values()) if self.entries else 1
-        return BigradedBettiTable(
-            {key: c // g for key, c in self.entries.items()})
+        return BigradedBettiTable(dict(self.canonical_key()))
 
     def swap_xy(self):
         """Mirror image under exchanging the two variables."""
@@ -70,9 +68,10 @@ class BigradedBettiTable:
             {(i, (b, a)): c for (i, (a, b)), c in self.entries.items()})
 
     def canonical_key(self):
-        """Hashable form of the gcd-normalized table (scalar classes)."""
+        """The gcd-normalized entries as a sorted tuple: equal exactly
+        on scalar classes, and ordered like the sorted entries."""
         g = gcd(*self.entries.values())
-        return frozenset((key, c // g) for key, c in self.entries.items())
+        return tuple(sorted((key, c // g) for key, c in self.entries.items()))
 
     def __eq__(self, other):
         if isinstance(other, BigradedBettiTable):
@@ -94,9 +93,11 @@ class KPolynomial:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
-        self.coefficients = {
-            (int(a), int(b)): int(c)
-            for (a, b), c in dict(coefficients).items() if int(c) != 0}
+        self.coefficients = {}
+        for (a, b), c in dict(coefficients).items():
+            c = integral(c, "coefficient")
+            if c:
+                self.coefficients[(int(a), int(b))] = c
 
     def is_zero(self):
         return not self.coefficients
@@ -152,9 +153,6 @@ class MatchingGraph:
         return tuple((u, w) for u, w
                      in itertools.combinations(sorted(self.vertices), 2)
                      if u[axis] == w[axis])
-
-    def weight(self, alpha):
-        return self.vertices[alpha][0]
 
     def x_valency(self, alpha):
         """Other vertices sharing alpha's first coordinate."""
@@ -260,8 +258,9 @@ def check_extremality_certificate(t):
             failures.append(("y-valency", alpha, yv))
         if len(support) != 1:
             failures.append(("mixed-support", alpha, sorted(support)))
-    if graph.vertices and not graph.is_connected():
-        failures.append(("disconnected", None, graph.component_count()))
+    components = graph.component_count()
+    if components > 1:
+        failures.append(("disconnected", None, components))
     verdict = CERT_EXTREMAL if not failures else CERT_INCONCLUSIVE
     return CertificateVerdict(verdict, failures, graph)
 
@@ -270,11 +269,9 @@ def count_up_to_swap(tables):
     """Number of scalar classes after also identifying x with y."""
     seen = set()
     for t in tables:
-        g = gcd(*t.entries.values())
-        key = sorted((e, c // g) for e, c in t.entries.items())
-        swapped = sorted(((i, (b, a)), c // g)
-                         for (i, (a, b)), c in t.entries.items())
-        seen.add(tuple(min(key, swapped)))
+        key = t.canonical_key()
+        swapped = sorted(((i, (b, a)), c) for (i, (a, b)), c in key)
+        seen.add(min(key, tuple(swapped)))
     return len(seen)
 
 
@@ -310,15 +307,25 @@ def json_list(value, field):
     return value
 
 
+def integral(value, field):
+    """value as an int, else a ValueError naming the field; a
+    non-integral value is refused rather than truncated."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{field} must be an integer, got {value}")
+    return n
+
+
 def json_int(value, field):
     """A JSON integer as an int, else a ValueError naming the field.
 
     An integral float (2.0) or a string holding an integer ("2") reads
-    as that integer; 1.5 is refused rather than truncated.
+    as that integer; 1.5 and the booleans are refused rather than read
+    as numbers.
     """
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return int(value)
         except ValueError:
@@ -329,9 +336,10 @@ def json_int(value, field):
 def json_rational(value, field):
     """A JSON number or a string such as "3/4" as an exact Fraction,
     else a ValueError naming the field.  A float reads as the decimal
-    it is written as, so 0.1 is 1/10."""
+    it is written as, so 0.1 is 1/10.  A boolean reads as its text,
+    which is refused."""
     try:
-        return Fraction(value if isinstance(value, int) else str(value))
+        return Fraction(value if type(value) is int else str(value))
     except (ValueError, ZeroDivisionError):
         raise ValueError(
             f"{field} must be a rational number, got {value!r}") from None

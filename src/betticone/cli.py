@@ -22,7 +22,7 @@ from .es_construct import es_plan, es_ranks, render_plan_text, twist_table
 from .local_cone import (LocalBettiVector, is_in_local_cone, limit_degrees,
                          limit_table, local_ray_coefficients)
 from .module_engine import bigraded_betti, module_from_json_obj
-from .rays import enumerate_box_rays
+from .rays import DEFAULT_MAX_BOX, enumerate_box_rays
 from .tables import (graded_from_json_obj, graded_to_json_obj,
                      hk_pure_table, pure_to_json_obj)
 
@@ -51,6 +51,10 @@ def _load_json(path):
 
 def _print_json(obj):
     print(json.dumps(obj, indent=2))
+
+def _write_dot(path, verdict):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(graph_to_dot(verdict.graph))
 
 
 def cmd_hk(args):
@@ -196,8 +200,7 @@ def cmd_bigraded_check(args):
     table = bigraded_from_json_obj(_load_json(args.table))
     verdict = check_extremality_certificate(table)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(graph_to_dot(verdict.graph))
+        _write_dot(args.dot, verdict)
     if args.json:
         _print_json({"verdict": verdict.verdict,
                      "failures": _failures_json(verdict)})
@@ -208,7 +211,7 @@ def cmd_bigraded_check(args):
 
 def cmd_bigraded_rays(args):
     box = _box(args.box)
-    if args.max_box is not None and args.max_box < 0:
+    if args.max_box < 0:
         raise ValueError(
             f"--max-box must be a nonnegative integer, got {args.max_box}")
     rays = enumerate_box_rays(box, max_box=args.max_box)
@@ -234,9 +237,8 @@ def cmd_resolve(args):
     verdict = None
     if args.check or args.dot:
         verdict = check_extremality_certificate(table)
-    if args.dot and verdict is not None:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(graph_to_dot(verdict.graph))
+    if args.dot:
+        _write_dot(args.dot, verdict)
     if args.json:
         obj = bigraded_to_json_obj(table)
         if args.check:
@@ -313,7 +315,7 @@ def build_parser():
     p = with_json(big_sub.add_parser(
         "rays", help="enumerate certified rays with support in a box"))
     p.add_argument("--box", required=True, help="corner, e.g. 3,3")
-    p.add_argument("--max-box", type=int, default=None,
+    p.add_argument("--max-box", type=int, default=DEFAULT_MAX_BOX,
                    help="override the enumeration guard")
     p.set_defaults(func=cmd_bigraded_rays)
 

@@ -16,8 +16,8 @@ class NonIncreasingDegrees(BetticoneError):
 class InternalInconsistency(BetticoneError):
     """An internal invariant broke: a twist table row collapsed without
     a vanishing factor, a degree plan whose gaps miss the ambient
-    dimension, negative Koszul homology, a matrix shape that cannot be
-    read off, kernel generators that miss the generic rank.
+    dimension, negative Koszul homology, kernel generators that miss
+    the generic rank.
 
     Unreachable from valid inputs; kept as a loud guard that, unlike
     assert, survives python -O.

@@ -16,6 +16,7 @@ builds the pure-table witnesses that converge to each ray.
 
 from fractions import Fraction
 
+from .bigraded import integral
 from .errors import DegenerateSequence, NonIncreasingDegrees, NotOnHyperplane
 from .tables import DegreeSequence, hk_pure_table
 
@@ -63,7 +64,7 @@ class LocalBettiVector:
 
     def add(self, other):
         if len(self) != len(other):
-            return NotImplemented
+            raise ValueError("cannot add Betti vectors of different lengths")
         return LocalBettiVector(tuple(a + b for a, b
                                       in zip(self.entries, other.entries)))
 
@@ -175,9 +176,9 @@ def local_from_graded(t):
 
 def limit_degrees(i, j, n):
     """The sequence d with d_k = k*j for k <= i, (k-1)*j + 1 for k > i."""
-    i = int(i)
-    j = int(j)
-    n = int(n)
+    i = integral(i, "ray index")
+    j = integral(j, "gap parameter")
+    n = integral(n, "dimension")
     if not 0 <= i <= n - 1:
         raise ValueError(f"ray index {i} outside 0..{n - 1}")
     if j < 2:

@@ -14,10 +14,9 @@ the same for any field of characteristic zero.
 
 from fractions import Fraction
 
-from ._linalg import (column_space_pivot_rows, rank, reduce_against,
-                      transpose)
-from .bigraded import (BigradedBettiTable, json_bidegree, json_bidegrees,
-                       json_list, json_rational)
+from ._linalg import ONE, ZERO, column_space_pivot_rows, rank, transpose
+from .bigraded import (BigradedBettiTable, integral, json_bidegree,
+                       json_bidegrees, json_list, json_rational)
 from .errors import InternalInconsistency, NotContained, NotFiniteLength
 
 _X = (1, 0)
@@ -28,16 +27,10 @@ def _shift(alpha, step):
     return (alpha[0] + step[0], alpha[1] + step[1])
 
 
-def _compose(a, b, nrows, nmid, ncols):
-    """Matrix product with explicit shapes so zero spaces behave."""
-    if nrows == 0:
-        return []
-    if ncols == 0:
-        return [[] for _ in range(nrows)]
-    if nmid == 0:
-        return [[Fraction(0)] * ncols for _ in range(nrows)]
-    return [[sum((a[i][k] * b[k][j] for k in range(nmid)), Fraction(0))
-             for j in range(ncols)] for i in range(nrows)]
+def _compose(a, b, ncols):
+    """Matrix product a b; ncols is b's width, which an empty b lacks."""
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), ZERO)
+             for j in range(ncols)] for row in a]
 
 
 class FiniteModule:
@@ -55,7 +48,7 @@ class FiniteModule:
     def __init__(self, dims, mult_x, mult_y):
         self.dims = {}
         for alpha, d in dict(dims).items():
-            d = int(d)
+            d = integral(d, "dimension")
             if d < 0:
                 raise ValueError(f"negative dimension at {alpha}")
             if d:
@@ -85,12 +78,10 @@ class FiniteModule:
             if self.dim(top) == 0:
                 continue
             d0 = self.dim(alpha)
-            da = self.dim(_shift(alpha, _X))
-            db = self.dim(_shift(alpha, _Y))
             via_x = _compose(self.map_y(_shift(alpha, _X)),
-                             self.map_x(alpha), self.dim(top), da, d0)
+                             self.map_x(alpha), d0)
             via_y = _compose(self.map_x(_shift(alpha, _Y)),
-                             self.map_y(alpha), self.dim(top), db, d0)
+                             self.map_y(alpha), d0)
             if via_x != via_y:
                 raise ValueError(
                     f"multiplication maps do not commute at {alpha}")
@@ -278,7 +269,12 @@ def coker_presentation(pm):
     In each bidegree the free pieces are spanned by one monomial per
     surviving row or column, the matrix of the map is just the scalar
     grid restricted to those indices, and the cokernel basis is the set
-    of rows missed by the column space pivots.
+    of rows missed by the column space pivots.  The x and y maps are
+    read off the rref basis of the target's column space: each basis
+    row is 1 at its own pivot row and 0 at the other pivot rows, so a
+    free row is its own cokernel basis vector, and a pivot row r is,
+    modulo the column space, minus the basis row led by r read on the
+    free rows.
 
     The degrees fix the scan box.  Let lo be the coordinatewise minimum
     of the row degrees and D the coordinatewise maximum of all row and
@@ -301,34 +297,34 @@ def coker_presentation(pm):
             alpha = (a, b)
             rows, cols, matrix = pm.matrix_at(alpha)
             basis, pivots = column_space_pivot_rows(matrix)
-            free = [k for k in range(len(rows)) if k not in set(pivots)]
+            lead = dict(zip(pivots, basis))
+            free = [k for k in range(len(rows)) if k not in lead]
             if free and (a == top[0] or b == top[1]):
                 raise NotFiniteLength(
                     f"cokernel is nonzero at {alpha} on the top layer of "
                     f"[{lo}, {top}], so its support is unbounded")
-            local[alpha] = (rows, free, basis, pivots)
-    dims = {alpha: len(free) for alpha, (_, free, _, _) in local.items()
+            local[alpha] = (rows, free, lead)
+    dims = {alpha: len(free) for alpha, (_, free, _) in local.items()
             if free}
     mult_x = {}
     mult_y = {}
-    for alpha, (rows, free, _, _) in local.items():
+    for alpha, (rows, free, _) in local.items():
         if not free:
             continue
         for step, store in ((_X, mult_x), (_Y, mult_y)):
             target = _shift(alpha, step)
             if target not in local or not local[target][1]:
                 continue
-            t_rows, t_free, t_basis, t_pivots = local[target]
+            t_rows, t_free, t_lead = local[target]
             pos = {rid: k for k, rid in enumerate(t_rows)}
             columns = []
             for rid_local in free:
-                rid = rows[rid_local]
-                vec = [Fraction(0)] * len(t_rows)
-                vec[pos[rid]] = Fraction(1)
-                vec = reduce_against(vec, t_basis, t_pivots)
-                columns.append([vec[k] for k in t_free])
-            store[alpha] = [[columns[j][i] for j in range(len(free))]
-                            for i in range(len(t_free))]
+                k = pos[rows[rid_local]]
+                if k in t_lead:
+                    columns.append([-t_lead[k][f] for f in t_free])
+                else:
+                    columns.append([ONE if f == k else ZERO for f in t_free])
+            store[alpha] = [list(row) for row in zip(*columns)]
     return FiniteModule(dims, mult_x, mult_y)
 
 
@@ -442,16 +438,13 @@ def dual_module(mod):
         return mod
     c = (max(a for a, _ in mod.dims), max(b for _, b in mod.dims))
     dims = {(c[0] - a, c[1] - b): d for (a, b), d in mod.dims.items()}
-    mult_x = {}
-    mult_y = {}
+    mult = {_X: {}, _Y: {}}
     for alpha in dims:
-        src_x = (c[0] - alpha[0] - 1, c[1] - alpha[1])
-        if mod.dim(src_x) and mod.dim(_shift(src_x, _X)):
-            mult_x[alpha] = transpose(mod.map_x(src_x))
-        src_y = (c[0] - alpha[0], c[1] - alpha[1] - 1)
-        if mod.dim(src_y) and mod.dim(_shift(src_y, _Y)):
-            mult_y[alpha] = transpose(mod.map_y(src_y))
-    return FiniteModule(dims, mult_x, mult_y)
+        for step, read in ((_X, mod.map_x), (_Y, mod.map_y)):
+            src = (c[0] - alpha[0] - step[0], c[1] - alpha[1] - step[1])
+            if mod.dim(src) and mod.dim(_shift(src, step)):
+                mult[step][alpha] = transpose(read(src))
+    return FiniteModule(dims, mult[_X], mult[_Y])
 
 
 def presentation_to_json_obj(pm):

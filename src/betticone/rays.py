@@ -9,7 +9,8 @@ column walk that reads the table off column by column by counting
 corners, plus a small catalogue of presentation seeds that no monomial
 quotient reaches, whose tables come from the Koszul oracle.  Every
 candidate table goes through the valency certificate of the bigraded
-layer.
+layer, K-polynomial test included, and certified tables are
+deduplicated up to positive scalar.
 
 The walk prunes by two necessary conditions of that certificate, so
 it never cuts a region whose table certifies:
@@ -20,16 +21,14 @@ it never cuts a region whose table certifies:
 - rows only gain vertices as columns are placed, so a row that would
   reach a third vertex (y-valency 2 or more) fails in every
   completion.
+The cuts keep 468 of the 1145 regions of box (4,4).
 
 The tests keep two independent routes: the unpruned walk over every
 staircase region, and every pair of generator antichains in the box
 with its quotient module through the Koszul oracle.
 """
 
-import os
-
-from .bigraded import (BigradedBettiTable, check_extremality_certificate,
-                       json_int)
+from .bigraded import BigradedBettiTable, check_extremality_certificate
 from .errors import BoundTooLarge, NotFiniteLength
 from .module_engine import (PresentationMatrix, bigraded_betti,
                             coker_presentation, dual_module)
@@ -102,10 +101,7 @@ def pruned_regions(bound_a, bound_b):
     once, lazily, in a fixed order.
 
     Table column a is read off as soon as region column a is placed,
-    and the branch is cut by the two rules in the module docstring:
-    a finished column with other than 0 or 2 vertices or a mixed
-    vertex, or a row reaching a third vertex.  The cuts keep 468 of
-    the 1145 regions of box (4,4).
+    and the branch is cut by the two rules in the module docstring.
     """
     columns = []
     parts = []
@@ -172,36 +168,24 @@ def seed_catalogue():
     return [("heart", heart)]
 
 
-def enumerate_box_rays(bound, max_box=None):
+def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     """All distinct certified-extremal rays with support in the box.
 
     Candidates are the tables of the staircase regions inside
     [0, B1) x [0, B2), which are exactly the finite length monomial
-    quotients I/J whose table support fits in [0, B1] x [0, B2], plus
-    the presentation seeds from the catalogue.  The region walk
-    (pruned_regions) drops a region as soon as a finished table column
-    has other than 0 or 2 vertices or a mixed vertex, or a row would
-    reach a third vertex; both are sound because finished columns never
-    change and rows only gain vertices, so every dropped table would
-    fail the certificate.  Every remaining table still goes through
-    the full certificate, K-polynomial test included.  Certified
-    tables are deduplicated up to positive scalar and returned in a
-    canonical sorted order.  The tests compare this with the unpruned
-    walk over every region and with the antichain-pair loop through
-    the Koszul oracle.
+    quotients I/J whose table support fits in [0, B1] x [0, B2], as
+    pruned_regions walks them, plus the presentation seeds from the
+    catalogue.  Certified tables are returned gcd-normalized, one per
+    scalar class, sorted by their canonical keys.
     """
     b1, b2 = int(bound[0]), int(bound[1])
-    field = "max_box"
-    if max_box is None:
-        field = "BETTICONE_MAX_BOX"
-        max_box = json_int(os.environ.get(field, DEFAULT_MAX_BOX), field)
     if max_box < 0:
         raise ValueError(
-            f"{field} must be a nonnegative integer, got {max_box}")
+            f"max_box must be a nonnegative integer, got {max_box}")
     if b1 > max_box or b2 > max_box:
         raise BoundTooLarge(
-            f"box {bound} exceeds the guard {max_box}; raise "
-            "BETTICONE_MAX_BOX if you mean it")
+            f"box {bound} exceeds the guard {max_box}; raise --max-box "
+            "if you mean it")
     if b1 < 0 or b2 < 0:
         raise ValueError("box corners must be nonnegative")
 
@@ -209,7 +193,7 @@ def enumerate_box_rays(bound, max_box=None):
         return all(0 <= a <= b1 and 0 <= b <= b2
                    for a, b in table.support())
 
-    found = {}
+    found = set()
 
     def consider(table):
         if table.is_empty() or not fits(table):
@@ -219,8 +203,7 @@ def enumerate_box_rays(bound, max_box=None):
         except NotFiniteLength:
             return
         if verdict.is_extremal():
-            key = table.canonical_key()
-            found.setdefault(key, table.gcd_normalized())
+            found.add(table.canonical_key())
 
     for _, table in pruned_regions(b1, b2):
         consider(table)
@@ -230,5 +213,4 @@ def enumerate_box_rays(bound, max_box=None):
         consider(bigraded_betti(module))
         consider(bigraded_betti(dual_module(module)))
 
-    return sorted(found.values(),
-                  key=lambda t: sorted(t.entries.items()))
+    return [BigradedBettiTable(dict(k)) for k in sorted(found)]

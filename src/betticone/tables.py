@@ -25,7 +25,7 @@ of degree differences.  Entries and results stay exact Fractions.
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .bigraded import json_int, json_list, json_rational
+from .bigraded import integral, json_int, json_list, json_rational
 from .errors import NonIncreasingDegrees
 
 
@@ -192,15 +192,6 @@ class PureTable:
                 f"{list(self.multiplicities)!r})")
 
 
-def _integral(value, field):
-    """value as an int, else a ValueError naming the field; a
-    non-integral value is refused rather than truncated."""
-    n = int(value)
-    if n != value:
-        raise ValueError(f"{field} must be an integer, got {value}")
-    return n
-
-
 class HilbertNumerator:
     """Integer Laurent polynomial sum_j c_j t^j with a positive scale.
 
@@ -212,13 +203,13 @@ class HilbertNumerator:
     __slots__ = ("coefficients", "scale")
 
     def __init__(self, coefficients, scale=1):
-        scale = _integral(scale, "scale")
+        scale = integral(scale, "scale")
         if scale <= 0:
             raise ValueError("scale must be a positive integer")
         clean = {}
         for j, c in dict(coefficients).items():
-            j = _integral(j, "degree")
-            c = _integral(c, f"coefficient of t^{j}")
+            j = integral(j, "degree")
+            c = integral(c, f"coefficient of t^{j}")
             if c:
                 clean[j] = c
         g = gcd(scale, *map(abs, clean.values())) if clean else scale

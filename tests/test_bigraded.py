@@ -12,6 +12,7 @@ leave out regions whose tables fail the certificate.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,7 @@ from betticone import (
     CERT_EXTREMAL,
     CERT_INCONCLUSIVE,
     FiniteModule,
+    KPolynomial,
     MonomialPair,
     NotFiniteLength,
     bigraded_betti,
@@ -94,6 +96,16 @@ def test_gcd_normalization_and_canonical_key():
     assert doubled.gcd_normalized() == t
     assert doubled.canonical_key() == t.canonical_key()
     assert doubled != t
+
+
+def test_constructors_refuse_non_integral_values():
+    with pytest.raises(ValueError, match="count must be an integer, got 3/2"):
+        BigradedBettiTable({(0, (0, 0)): Fraction(3, 2)})
+    with pytest.raises(ValueError,
+                       match="coefficient must be an integer, got 1/2"):
+        KPolynomial({(0, 0): Fraction(1, 2)})
+    assert BigradedBettiTable({(0, (0, 0)): Fraction(4, 2)}).entry(
+        0, (0, 0)) == 2
 
 
 def test_matching_graph_of_koszul_table():
@@ -259,13 +271,11 @@ def test_enumerate_rays_have_unit_entries():
         assert set(normalized.entries.values()) == {1}
 
 
-def test_enumerate_guards_against_large_boxes(monkeypatch):
+def test_enumerate_guards_against_large_boxes():
     with pytest.raises(BoundTooLarge):
         enumerate_box_rays((7, 7))
-    monkeypatch.setenv("BETTICONE_MAX_BOX", "1")
     with pytest.raises(BoundTooLarge):
-        enumerate_box_rays((2, 2))
-    monkeypatch.delenv("BETTICONE_MAX_BOX")
+        enumerate_box_rays((2, 2), max_box=1)
     assert len(enumerate_box_rays((2, 2), max_box=2)) == 11
 
 

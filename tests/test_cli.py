@@ -337,21 +337,7 @@ def test_resolve_deeply_nested_json(tmp_path, capsys):
     assert err == f"error: {path}: JSON nested too deeply\n"
 
 
-def test_rays_guard_variable_must_be_an_integer(monkeypatch, capsys):
-    monkeypatch.setenv("BETTICONE_MAX_BOX", "abc")
-    assert run(["bigraded", "rays", "--box", "2,2"]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: BETTICONE_MAX_BOX must be an integer, got 'abc'\n"
-
-
-def test_rays_guard_variable_must_be_nonnegative(monkeypatch, capsys):
-    monkeypatch.setenv("BETTICONE_MAX_BOX", "-3")
-    assert run(["bigraded", "rays", "--box", "2,2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: BETTICONE_MAX_BOX must be a "
-                            "nonnegative integer, got -3\n")
-    monkeypatch.delenv("BETTICONE_MAX_BOX")
+def test_rays_guard_variable_must_be_nonnegative():
     with pytest.raises(ValueError,
                        match="max_box must be a nonnegative integer, got -1"):
         enumerate_box_rays((0, 0), max_box=-1)
@@ -411,6 +397,20 @@ def test_misnamed_json_key_is_reported_by_name(tmp_path, capsys):
      "b must be a rational number"),
     ("decompose", {"kind": "graded", "nvars": 2, "entries": 5},
      "entries must be a list"),
+    ("bigraded check", {"kind": "bigraded", "entries": [
+        {"i": True, "deg": [0, 0], "b": True},
+        {"i": False, "deg": [0, 1], "b": True}]},
+     "i must be an integer, got True"),
+    ("bigraded check",
+     {"kind": "bigraded", "entries": [{"i": 0, "deg": [0, 0], "b": True}]},
+     "b must be an integer, got True"),
+    ("decompose", {"kind": "graded", "nvars": 2,
+                   "entries": [{"i": 0, "j": 0, "b": True}]},
+     "b must be a rational number, got True"),
+    ("resolve", dict(PACMAN_MODULE, entries=[
+        [[[True, [3, 0]]], [], [], [["1", [0, 2]]]],
+        [[], [["-1", [1, 0]]], [["1", [0, 2]]], []]]),
+     "entries coefficient must be a rational number, got True"),
 ])
 def test_malformed_json_shape_is_reported_by_field(tmp_path, capsys,
                                                    command, obj, field):

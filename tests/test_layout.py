@@ -2,7 +2,9 @@
 
 Intra-package imports must form an acyclic graph and must sit at module
 level: an import inside a function hides a dependency from the reader
-and is the usual way a cycle gets papered over.
+and is the usual way a cycle gets papered over.  No module reads the
+process environment: every setting is an argument or a command line
+option.
 """
 
 from __future__ import annotations
@@ -69,6 +71,23 @@ def test_intra_package_imports_are_acyclic():
 
     for name in sorted(edges):
         visit(name, [])
+
+
+def _reads_environment(node):
+    """os.environ or os.getenv, as an attribute or a from-import."""
+    names = ("environ", "getenv")
+    if isinstance(node, ast.Attribute):
+        return (isinstance(node.value, ast.Name) and node.value.id == "os"
+                and node.attr in names)
+    return (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in names for alias in node.names))
+
+
+def test_no_module_reads_the_environment():
+    found = [f"{name} line {node.lineno}"
+             for name, tree in MODULES.items() for node in ast.walk(tree)
+             if _reads_environment(node)]
+    assert not found, found
 
 
 def test_no_function_imports_from_the_package():

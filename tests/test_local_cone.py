@@ -127,6 +127,12 @@ def test_limit_degrees_rejects_degenerate():
         limit_degrees(5, 10, 2)
 
 
+def test_limit_degrees_refuses_non_integral_parameters():
+    with pytest.raises(ValueError,
+                       match="gap parameter must be an integer, got 2.7"):
+        limit_degrees(0, 2.7, 2)
+
+
 def test_limit_table_exact_values():
     v = limit_table(0, 100, 2)
     assert tuple(v) == (1, Fraction(101, 100), Fraction(1, 100))
@@ -181,6 +187,8 @@ def test_sup_distance_is_a_metric_on_samples():
 def test_vector_validation():
     with pytest.raises(ValueError):
         LocalBettiVector([])
+    with pytest.raises(ValueError, match="different lengths"):
+        LocalBettiVector([1, 1]).add(LocalBettiVector([1, 2, 1]))
     with pytest.raises(ValueError):
         is_in_local_cone(LocalBettiVector([-1, 0, 0]))
 
