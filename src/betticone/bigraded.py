@@ -39,8 +39,7 @@ class BigradedBettiTable:
             if i not in (0, 1, 2):
                 raise ValueError(
                     f"homological degree {i} impossible over two variables")
-            a, b = alpha
-            clean[(i, (int(a), int(b)))] = count
+            clean[(i, integral_bidegree(alpha))] = count
         self.entries = clean
 
     def entry(self, i, alpha):
@@ -310,10 +309,18 @@ def json_list(value, field):
 def integral(value, field):
     """value as an int, else a ValueError naming the field; a
     non-integral value is refused rather than truncated."""
+    if type(value) is int:
+        return value
     n = int(value)
     if n != value:
         raise ValueError(f"{field} must be an integer, got {value}")
     return n
+
+
+def integral_bidegree(alpha, field="bidegree"):
+    """alpha as a pair of ints, each coordinate checked by integral."""
+    a, b = alpha
+    return (integral(a, field), integral(b, field))
 
 
 def json_int(value, field):

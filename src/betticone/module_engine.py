@@ -8,15 +8,19 @@ rational matrices.  Betti numbers then come out of the Koszul complex
     M(-1,-1) --(y, -x)--> M(-1,0) + M(0,-1) --(x  y)--> M
 
 restricted to a single bidegree, so no Groebner machinery is needed.
-Everything runs over the rationals (Fraction); the ranks involved are
-the same for any field of characteristic zero.
+Everything runs over the rationals (Fraction entries, reduced in
+integers by _linalg after clearing denominators); the ranks involved
+are the same for any field of characteristic zero.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
-from ._linalg import ONE, ZERO, column_space_pivot_rows, rank, transpose
-from .bigraded import (BigradedBettiTable, integral, json_bidegree,
-                       json_bidegrees, json_list, json_rational)
+from ._linalg import (ONE, ZERO, column_space_pivot_rows, integer_rows, rank,
+                      transpose)
+from .bigraded import (BigradedBettiTable, integral, integral_bidegree,
+                       json_bidegree, json_bidegrees, json_list,
+                       json_rational)
 from .errors import InternalInconsistency, NotContained, NotFiniteLength
 
 _X = (1, 0)
@@ -29,7 +33,7 @@ def _shift(alpha, step):
 
 def _compose(a, b, ncols):
     """Matrix product a b; ncols is b's width, which an empty b lacks."""
-    return [[sum((x * b[k][j] for k, x in enumerate(row)), ZERO)
+    return [[sum((x * b[k][j] for k, x in enumerate(row) if x), ZERO)
              for j in range(ncols)] for row in a]
 
 
@@ -52,7 +56,7 @@ class FiniteModule:
             if d < 0:
                 raise ValueError(f"negative dimension at {alpha}")
             if d:
-                self.dims[(int(alpha[0]), int(alpha[1]))] = d
+                self.dims[integral_bidegree(alpha)] = d
         self.mult_x = self._check_maps(mult_x, _X, "x")
         self.mult_y = self._check_maps(mult_y, _Y, "y")
         self._check_commuting()
@@ -60,12 +64,13 @@ class FiniteModule:
     def _check_maps(self, maps, step, name):
         clean = {}
         for alpha, matrix in dict(maps).items():
-            alpha = (int(alpha[0]), int(alpha[1]))
+            alpha = integral_bidegree(alpha)
             src = self.dim(alpha)
             dst = self.dim(_shift(alpha, step))
             if src == 0 or dst == 0:
                 continue
-            matrix = [[Fraction(v) for v in row] for row in matrix]
+            matrix = [[v if type(v) is Fraction else Fraction(v) for v in row]
+                      for row in matrix]
             if len(matrix) != dst or any(len(r) != src for r in matrix):
                 raise ValueError(
                     f"mult_{name} at {alpha} must be {dst} x {src}")
@@ -101,7 +106,7 @@ class FiniteModule:
             return maps[alpha]
         dst = self.dim(_shift(alpha, step))
         src = self.dim(alpha)
-        return [[Fraction(0)] * src for _ in range(dst)]
+        return [[ZERO] * src for _ in range(dst)]
 
     def total_dim(self):
         return sum(self.dims.values())
@@ -143,7 +148,7 @@ class MonomialPair:
 
 
 def _minimal_gens(gens, label):
-    pts = sorted({(int(a), int(b)) for a, b in gens})
+    pts = sorted({integral_bidegree(g, f"{label} exponent") for g in gens})
     if not pts:
         raise ValueError(f"{label} needs at least one generator")
     for a, b in pts:
@@ -202,8 +207,10 @@ class PresentationMatrix:
     __slots__ = ("row_degrees", "col_degrees", "scalars")
 
     def __init__(self, rows, cols, entries):
-        self.row_degrees = tuple((int(a), int(b)) for a, b in rows)
-        self.col_degrees = tuple((int(a), int(b)) for a, b in cols)
+        self.row_degrees = tuple(integral_bidegree(d, "row degree")
+                                 for d in rows)
+        self.col_degrees = tuple(integral_bidegree(d, "column degree")
+                                 for d in cols)
         if len(entries) != len(self.row_degrees):
             raise ValueError("one entry row per row degree is required")
         scalars = []
@@ -214,7 +221,7 @@ class PresentationMatrix:
             for c, terms in enumerate(row):
                 merged = {}
                 for coeff, expo in terms:
-                    expo = (int(expo[0]), int(expo[1]))
+                    expo = integral_bidegree(expo, "entry exponent")
                     merged[expo] = merged.get(expo, Fraction(0)) \
                         + Fraction(coeff)
                 merged = {e: v for e, v in merged.items() if v != 0}
@@ -235,16 +242,6 @@ class PresentationMatrix:
         return (self.col_degrees[c][0] - self.row_degrees[r][0],
                 self.col_degrees[c][1] - self.row_degrees[r][1])
 
-    def matrix_at(self, alpha):
-        """The map F1 -> F0 in bidegree alpha, with the row and column
-        index lists that survived the degree truncation."""
-        rows = [r for r, d in enumerate(self.row_degrees)
-                if d[0] <= alpha[0] and d[1] <= alpha[1]]
-        cols = [c for c, d in enumerate(self.col_degrees)
-                if d[0] <= alpha[0] and d[1] <= alpha[1]]
-        matrix = [[self.scalars[r][c] for c in cols] for r in rows]
-        return rows, cols, matrix
-
 
 def generic_rank(pm):
     """Rank of the presentation matrix over the fraction field k(x, y).
@@ -263,6 +260,28 @@ def _corner(degrees):
     return (max(a for a, _ in degrees), max(b for _, b in degrees))
 
 
+def _below(degrees, alpha):
+    """Indices of the degrees that are <= alpha coordinatewise."""
+    return [k for k, d in enumerate(degrees)
+            if d[0] <= alpha[0] and d[1] <= alpha[1]]
+
+
+def _floors(coords, lo, hi):
+    """For each v in [lo, hi], the largest of coords that is <= v."""
+    grid = sorted(set(coords))
+    return [grid[bisect_right(grid, v) - 1] for v in range(lo, hi + 1)]
+
+
+def _integer_columns(pm):
+    """Each column of the scalar grid times the lcm of its denominators.
+
+    Scaling a column changes neither the column space nor the rank of
+    any block of rows, so the scans below reduce these int columns.
+    """
+    return integer_rows([[row[c] for row in pm.scalars]
+                         for c in range(len(pm.col_degrees))])
+
+
 def coker_presentation(pm):
     """Cokernel of a presentation matrix as a FiniteModule.
 
@@ -279,53 +298,76 @@ def coker_presentation(pm):
     The degrees fix the scan box.  Let lo be the coordinatewise minimum
     of the row degrees and D the coordinatewise maximum of all row and
     column degrees.  Below lo no row survives, so the cokernel is zero
-    there.  For b fixed and a >= D_a no row or column joins
-    pm.matrix_at((a, b)) as a grows, so the piece at (a, b) is the
-    piece at (D_a, b), and likewise in b.  The cokernel therefore has
-    finite length exactly when it vanishes on the top layer
+    there.  For b fixed and a >= D_a no row or column survives at
+    (a, b) that did not survive at (D_a, b), so the piece at (a, b) is
+    the piece at (D_a, b), and likewise in b.  The cokernel therefore
+    has finite length exactly when it vanishes on the top layer
     {a = D_a} or {b = D_b} of [lo, D], and then its whole support lies
     in [lo, D]; a nonzero piece on that layer raises NotFiniteLength.
+
+    The distinct row and column coordinates cut [lo, D] into grid
+    cells.  The lower corner of the cell holding alpha takes, on each
+    axis, the largest degree coordinate at most alpha's, so a degree is
+    <= alpha exactly when it is <= that corner: every bidegree of a
+    cell has the corner's surviving rows and columns.  So each cell is
+    reduced once, at its corner, and the map between two pieces is read
+    off their cells.
     """
     if not pm.row_degrees:
         return FiniteModule({}, {}, {})
+    degrees = pm.row_degrees + pm.col_degrees
     lo = (min(a for a, _ in pm.row_degrees),
           min(b for _, b in pm.row_degrees))
-    top = _corner(pm.row_degrees + pm.col_degrees)
-    local = {}
+    top = _corner(degrees)
+    a_floor = _floors([a for a, _ in degrees], lo[0], top[0])
+    b_floor = _floors([b for _, b in degrees], lo[1], top[1])
+    columns = _integer_columns(pm)
+    cells = {}
+    pieces = {}
     for a in range(lo[0], top[0] + 1):
         for b in range(lo[1], top[1] + 1):
+            corner = (a_floor[a - lo[0]], b_floor[b - lo[1]])
+            if corner not in cells:
+                rows = _below(pm.row_degrees, corner)
+                cols = _below(pm.col_degrees, corner)
+                basis, pivots = column_space_pivot_rows(
+                    [[columns[c][r] for c in cols] for r in rows])
+                lead = dict(zip(pivots, basis))
+                free = [k for k in range(len(rows)) if k not in lead]
+                cells[corner] = (rows, free, lead)
+            if not cells[corner][1]:
+                continue
             alpha = (a, b)
-            rows, cols, matrix = pm.matrix_at(alpha)
-            basis, pivots = column_space_pivot_rows(matrix)
-            lead = dict(zip(pivots, basis))
-            free = [k for k in range(len(rows)) if k not in lead]
-            if free and (a == top[0] or b == top[1]):
+            if a == top[0] or b == top[1]:
                 raise NotFiniteLength(
                     f"cokernel is nonzero at {alpha} on the top layer of "
                     f"[{lo}, {top}], so its support is unbounded")
-            local[alpha] = (rows, free, lead)
-    dims = {alpha: len(free) for alpha, (_, free, _) in local.items()
-            if free}
+            pieces[alpha] = corner
+    dims = {alpha: len(cells[corner][1]) for alpha, corner in pieces.items()}
     mult_x = {}
     mult_y = {}
-    for alpha, (rows, free, _) in local.items():
-        if not free:
-            continue
+    for alpha, corner in pieces.items():
         for step, store in ((_X, mult_x), (_Y, mult_y)):
-            target = _shift(alpha, step)
-            if target not in local or not local[target][1]:
-                continue
-            t_rows, t_free, t_lead = local[target]
-            pos = {rid: k for k, rid in enumerate(t_rows)}
-            columns = []
-            for rid_local in free:
-                k = pos[rows[rid_local]]
-                if k in t_lead:
-                    columns.append([-t_lead[k][f] for f in t_free])
-                else:
-                    columns.append([ONE if f == k else ZERO for f in t_free])
-            store[alpha] = [list(row) for row in zip(*columns)]
+            target = pieces.get(_shift(alpha, step))
+            if target is not None:
+                store[alpha] = _cell_map(cells[corner], cells[target])
     return FiniteModule(dims, mult_x, mult_y)
+
+
+def _cell_map(source, target):
+    """Matrix of the inclusion of the source cell's cokernel basis (its
+    free rows) into the target cell's cokernel, in its free rows."""
+    rows, free, _ = source
+    t_rows, t_free, t_lead = target
+    pos = {rid: k for k, rid in enumerate(t_rows)}
+    columns = []
+    for rid_local in free:
+        k = pos[rows[rid_local]]
+        if k in t_lead:
+            columns.append([-t_lead[k][f] for f in t_free])
+        else:
+            columns.append([ONE if f == k else ZERO for f in t_free])
+    return [list(row) for row in zip(*columns)]
 
 
 def bigraded_betti(mod):
@@ -398,6 +440,15 @@ def kernel_generator_degrees(pm):
     minus the rank of the whole scalar grid, which is the generic rank.
     The completeness check below can thus only fail on an internal
     error.
+
+    The same argument inside [lo, C]: h only changes where a crosses a
+    column a-coordinate or b a column b-coordinate.  So h is computed on
+    the grid of distinct column coordinates alone, h(alpha - (1,0)) at
+    a grid point is h at the grid neighbour to the left (zero past the
+    first one), likewise below, and a bidegree off the grid gains no
+    generator.  Since the surviving columns are zero outside the
+    surviving rows, h is their number minus the rank of those whole
+    columns.
     """
     ncols = len(pm.col_degrees)
     if ncols == 0:
@@ -405,21 +456,25 @@ def kernel_generator_degrees(pm):
     expected = ncols - generic_rank(pm)
     if expected == 0:
         return []
-    lo = (min(a for a, _ in pm.col_degrees),
-          min(b for _, b in pm.col_degrees))
-    top = _corner(pm.col_degrees)
-    h = {}
-    for a in range(lo[0], top[0] + 1):
-        for b in range(lo[1], top[1] + 1):
-            _, cols, matrix = pm.matrix_at((a, b))
-            h[(a, b)] = len(cols) - rank(matrix)
+    a_grid = sorted({a for a, _ in pm.col_degrees})
+    b_grid = sorted({b for _, b in pm.col_degrees})
+    columns = _integer_columns(pm)
+    h = [[0] * (len(b_grid) + 1)]
+    for a in a_grid:
+        h_row = [0]
+        for b in b_grid:
+            cols = _below(pm.col_degrees, (a, b))
+            h_row.append(len(cols) - rank([columns[c] for c in cols])
+                         if cols else 0)
+        h.append(h_row)
     gens = []
-    for (a, b), here in h.items():
-        fresh = (here - h.get((a - 1, b), 0) - h.get((a, b - 1), 0)
-                 + h.get((a - 1, b - 1), 0))
-        if fresh:
-            gens.append(((a, b), fresh))
+    for i, a in enumerate(a_grid, 1):
+        for j, b in enumerate(b_grid, 1):
+            fresh = h[i][j] - h[i - 1][j] - h[i][j - 1] + h[i - 1][j - 1]
+            if fresh:
+                gens.append(((a, b), fresh))
     if sum(count for _, count in gens) != expected:
+        lo, top = (a_grid[0], b_grid[0]), (a_grid[-1], b_grid[-1])
         raise InternalInconsistency(
             f"found {sum(count for _, count in gens)} of {expected} kernel "
             f"generators in [{lo}, {top}]")

@@ -28,7 +28,8 @@ staircase region, and every pair of generator antichains in the box
 with its quotient module through the Koszul oracle.
 """
 
-from .bigraded import BigradedBettiTable, check_extremality_certificate
+from .bigraded import (BigradedBettiTable, check_extremality_certificate,
+                       integral_bidegree)
 from .errors import BoundTooLarge, NotFiniteLength
 from .module_engine import (PresentationMatrix, bigraded_betti,
                             coker_presentation, dual_module)
@@ -178,7 +179,7 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     catalogue.  Certified tables are returned gcd-normalized, one per
     scalar class, sorted by their canonical keys.
     """
-    b1, b2 = int(bound[0]), int(bound[1])
+    b1, b2 = integral_bidegree(bound, "box")
     if max_box < 0:
         raise ValueError(
             f"max_box must be a nonnegative integer, got {max_box}")

@@ -108,6 +108,16 @@ def test_constructors_refuse_non_integral_values():
         0, (0, 0)) == 2
 
 
+def test_non_integral_bidegrees_and_boxes_are_refused():
+    with pytest.raises(ValueError,
+                       match="bidegree must be an integer, got 0.5"):
+        BigradedBettiTable({(0, (0.5, 0)): 1})
+    with pytest.raises(ValueError, match="box must be an integer, got 2.9"):
+        enumerate_box_rays((2.9, 2))
+    assert BigradedBettiTable({(0, (1.0, 0)): 1}).entries == \
+        {(0, (1, 0)): 1}
+
+
 def test_matching_graph_of_koszul_table():
     g = matching_graph(_koszul_table())
     assert set(g.x_edges) == {((0, 0), (0, 1)), ((1, 0), (1, 1))}

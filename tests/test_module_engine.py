@@ -33,6 +33,7 @@ from betticone import (
     module_from_json_obj,
     monomial_quotient,
 )
+from betticone import module_engine
 from betticone._linalg import column_space_pivot_rows, rank, rref
 from betticone.module_engine import (
     presentation_from_json_obj,
@@ -63,6 +64,59 @@ HEART = PresentationMatrix(
         [[], [(1, (2, 0))], [(1, (1, 1))], [(1, (0, 2))]],
     ],
 )
+
+
+_ONE = Fraction(1)
+
+
+def _fraction_rref(m):
+    """Row-reduce a copy of m; returns (reduced rows, pivot column list).
+
+    The library's Gauss-Jordan over Fraction before it moved to integer
+    kernels, kept verbatim: the reference routes below reduce with it,
+    so they share no arithmetic with the library.
+    """
+    rows = [row[:] for row in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pick = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pick = i
+                break
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        inv = _ONE / rows[r][c]
+        if inv != _ONE:
+            rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _fraction_rank(m):
+    return len(_fraction_rref(m)[1])
+
+
+def _matrix_at(pm, alpha):
+    """The map F1 -> F0 in bidegree alpha, with the row and column
+    index lists that survived the degree truncation."""
+    rows = [r for r, d in enumerate(pm.row_degrees)
+            if d[0] <= alpha[0] and d[1] <= alpha[1]]
+    cols = [c for c, d in enumerate(pm.col_degrees)
+            if d[0] <= alpha[0] and d[1] <= alpha[1]]
+    matrix = [[pm.scalars[r][c] for c in cols] for r in rows]
+    return rows, cols, matrix
 
 
 def _up_set(gens, box):
@@ -272,7 +326,7 @@ def test_presentation_merges_and_cancels_terms():
         rows=[(0, 0)], cols=[(1, 0)],
         entries=[[[(1, (1, 0)), (-1, (1, 0))]]],
     )
-    _, _, mat = pm.matrix_at((1, 0))
+    _, _, mat = _matrix_at(pm, (1, 0))
     assert mat == [[Fraction(0)]]
 
 
@@ -329,9 +383,9 @@ def test_coker_scan_box_is_exact():
         dims = {}
         for a in range(lo[0] - 1, far[0] + 1):
             for b in range(lo[1] - 1, far[1] + 1):
-                rows, _, matrix = pm.matrix_at((a, b))
-                if len(rows) - rank(matrix):
-                    dims[(a, b)] = len(rows) - rank(matrix)
+                rows, _, matrix = _matrix_at(pm, (a, b))
+                if len(rows) - _fraction_rank(matrix):
+                    dims[(a, b)] = len(rows) - _fraction_rank(matrix)
         try:
             module = coker_presentation(pm)
         except NotFiniteLength:
@@ -390,8 +444,10 @@ def _reduction_coker_presentation(pm):
     local = {}
     for a in range(lo[0], top[0] + 1):
         for b in range(lo[1], top[1] + 1):
-            rows, _, matrix = pm.matrix_at((a, b))
-            basis, pivots = column_space_pivot_rows(matrix)
+            rows, _, matrix = _matrix_at(pm, (a, b))
+            reduced, pivots = _fraction_rref(
+                [list(col) for col in zip(*matrix)])
+            basis = reduced[:len(pivots)]
             free = [k for k in range(len(rows)) if k not in set(pivots)]
             if free and (a == top[0] or b == top[1]):
                 raise NotFiniteLength(f"cokernel is nonzero at {(a, b)}")
@@ -427,11 +483,10 @@ def _coker_outcome(route, pm):
             list(m.mult_y.items())]
 
 
-def test_coker_maps_match_the_reduction_route():
-    rng = random.Random(5707)
-    inputs = [PACMAN, HEART]
-    for _ in range(600):
-        pm = _random_presentation(rng)
+def _coker_inputs(rng, count, rational=False):
+    inputs = []
+    for _ in range(count):
+        pm = _random_presentation(rng, rational)
         if rng.random() < 0.45:
             # drop one row's pure x relation; most such cokernels then
             # escape along that row
@@ -441,11 +496,30 @@ def test_coker_maps_match_the_reduction_route():
                   for c, s in enumerate(row[1:])]
                  for r, row in enumerate(pm.scalars)])
         inputs.append(pm)
+    return inputs
+
+
+def _infinite_after_routes_agree(inputs):
+    """Check coker_presentation against the reduction route on every
+    input; returns how many both refused as infinite."""
     outcomes = [(_coker_outcome(coker_presentation, pm),
                  _coker_outcome(_reduction_coker_presentation, pm))
                 for pm in inputs]
     assert all(ours == ref for ours, ref in outcomes)
-    infinite = sum(ours is NotFiniteLength for ours, _ in outcomes)
+    return sum(ours is NotFiniteLength for ours, _ in outcomes)
+
+
+def test_coker_maps_match_the_reduction_route():
+    inputs = [PACMAN, HEART] + _coker_inputs(random.Random(5707), 600)
+    infinite = _infinite_after_routes_agree(inputs)
+    assert len(inputs) // 4 < infinite < len(inputs) // 2
+
+
+def test_coker_maps_match_the_reduction_route_on_rational_coefficients():
+    inputs = _coker_inputs(random.Random(31207), 300, rational=True)
+    assert sum(s.denominator > 1 for pm in inputs
+               for row in pm.scalars for s in row) > 300
+    infinite = _infinite_after_routes_agree(inputs)
     assert len(inputs) // 4 < infinite < len(inputs) // 2
 
 
@@ -463,7 +537,7 @@ def _scan_corners(degrees):
 def _nullspace_basis(m, ncols):
     """Basis of {v : m v = 0} as a list of length-ncols vectors; ncols
     is the width, which an m without rows does not carry."""
-    reduced, pivots = rref(m)
+    reduced, pivots = _fraction_rref(m)
     free = [c for c in range(ncols) if c not in set(pivots)]
     basis = []
     for f in free:
@@ -480,7 +554,7 @@ def _span_kernel_scan(pm, lo, corner):
 
     def kernel_at(alpha):
         if alpha not in cache:
-            _, cols, matrix = pm.matrix_at(alpha)
+            _, cols, matrix = _matrix_at(pm, alpha)
             cache[alpha] = (cols, _nullspace_basis(matrix, ncols=len(cols)))
         return cache[alpha]
 
@@ -500,7 +574,7 @@ def _span_kernel_scan(pm, lo, corner):
                     for k, c in enumerate(pcols):
                         w[pos[c]] = v[k]
                     span.append(w)
-            fresh = len(basis) - (rank(span) if span else 0)
+            fresh = len(basis) - (_fraction_rank(span) if span else 0)
             if fresh:
                 gens[alpha] = fresh
     return gens
@@ -519,7 +593,7 @@ def _span_kernel_generator_degrees(pm):
     ncols = len(pm.col_degrees)
     if ncols == 0:
         return []
-    expected = ncols - generic_rank(pm)
+    expected = ncols - _fraction_rank(pm.scalars)
     if expected == 0:
         return []
     lo = (min(a for a, _ in pm.col_degrees),
@@ -534,19 +608,31 @@ def _span_kernel_generator_degrees(pm):
         f"generators")
 
 
-def _random_presentation(rng):
+_RATIONALS = tuple(Fraction(v) for v in (
+    "0", "1/3", "-5/2", "7/10", "-1", "2", "-3/4", "11/6"))
+
+
+def _random_presentation(rng, rational=False):
     """1-4 generator rows, each killed by its own pure x^p and y^q
     relation, plus up to four extra relations with coefficients in
-    -2..2 on every row below their degree."""
+    -2..2 on every row below their degree.  With rational set, every
+    coefficient is drawn from _RATIONALS instead (nonzero on the pure
+    relations)."""
+    def pure():
+        return rng.choice(_RATIONALS[1:]) if rational else 1
+
+    def mixed():
+        return rng.choice(_RATIONALS) if rational else rng.randint(-2, 2)
+
     rows = [(rng.randint(0, 2), rng.randint(0, 2))
             for _ in range(rng.randint(1, 4))]
     cols = []
     for r, (a, b) in enumerate(rows):
-        cols.append(((a + rng.randint(1, 3), b), {r: 1}))
-        cols.append(((a, b + rng.randint(1, 3)), {r: 1}))
+        cols.append(((a + rng.randint(1, 3), b), {r: pure()}))
+        cols.append(((a, b + rng.randint(1, 3)), {r: pure()}))
     for _ in range(rng.randint(0, 4)):
         c = (rng.randint(0, 4), rng.randint(0, 4))
-        cols.append((c, {r: rng.randint(-2, 2) for r, d in enumerate(rows)
+        cols.append((c, {r: mixed() for r, d in enumerate(rows)
                          if d[0] <= c[0] and d[1] <= c[1]}))
     entries = [[[(coeffs[r], (c[0] - d[0], c[1] - d[1]))]
                 if coeffs.get(r) else [] for c, coeffs in cols]
@@ -568,6 +654,16 @@ def test_kernel_degrees_match_the_span_route():
     for pm in inputs:
         assert kernel_generator_degrees(pm) == \
             _span_kernel_generator_degrees(pm), presentation_to_json_obj(pm)
+
+
+def test_kernel_degrees_match_the_span_route_on_rational_coefficients():
+    inputs = _coker_inputs(random.Random(31208), 120, rational=True)
+    infinite = 0
+    for pm in inputs:
+        assert kernel_generator_degrees(pm) == \
+            _span_kernel_generator_degrees(pm), presentation_to_json_obj(pm)
+        infinite += _coker_outcome(coker_presentation, pm) is NotFiniteLength
+    assert 0 < infinite < len(inputs)
 
 
 def test_kernel_degrees_of_pacman_presentation():
@@ -705,3 +801,106 @@ def test_oracle_matches_corner_counts_on_random_regions():
             continue
         m = _region_module(region)
         assert dict(bigraded_betti(m).entries) == _staircase_betti(region)
+
+
+def _random_matrix(rng):
+    """A seeded matrix: 0-7 rows of 0-7 entries (empty and 0-column
+    shapes included, wide and tall), each entry zero or a signed
+    fraction with a numerator up to 10^6 and a mixed denominator, with
+    some rows and columns cleared."""
+    nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+    m = [[Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                   rng.choice((1, 1, 2, 3, 7, 10, 999983)))
+          if rng.random() < 0.6 else Fraction(0) for _ in range(ncols)]
+         for _ in range(nrows)]
+    if m and rng.random() < 0.5:
+        m[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    if ncols and rng.random() < 0.5:
+        c = rng.randrange(ncols)
+        for row in m:
+            row[c] = Fraction(0)
+    if nrows > 1 and rng.random() < 0.3:
+        # a combination of two rows, so the rank drops
+        f = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        m[-1] = [a + f * b for a, b in zip(m[0], m[1])]
+    return m
+
+
+def test_linalg_matches_the_fraction_route():
+    rng = random.Random(90210)
+    inputs = [[], [[]], [[], []], [[Fraction(0)]], [[Fraction(3, 4)]]]
+    inputs += [_random_matrix(rng) for _ in range(1500)]
+    deficient = 0
+    for m in inputs:
+        reduced, pivots = _fraction_rref(m)
+        assert rref(m) == (reduced, pivots), m
+        assert all(type(x) is Fraction for row in rref(m)[0] for x in row)
+        assert rank(m) == len(pivots), m
+        deficient += len(pivots) < min(len(m), len(m[0]) if m else 0)
+        t_reduced, t_pivots = _fraction_rref(
+            [list(col) for col in zip(*m)])
+        assert column_space_pivot_rows(m) == \
+            (t_reduced[:len(t_pivots)], t_pivots), m
+    assert deficient > 300
+
+
+def _residue_field(k):
+    """x, y, x^k, y^k presenting k[x, y]/(x, y)."""
+    return PresentationMatrix(
+        rows=[(0, 0)], cols=[(1, 0), (0, 1), (k, 0), (0, k)],
+        entries=[[[(1, (1, 0))], [(1, (0, 1))], [(1, (k, 0))],
+                  [(1, (0, k))]]])
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(module_engine, name)
+
+    def counted(m):
+        calls.append(m)
+        return inner(m)
+
+    monkeypatch.setattr(module_engine, name, counted)
+    return calls
+
+
+def test_kernel_scan_ranks_only_the_column_grid(monkeypatch):
+    calls = _counting(monkeypatch, "rank")
+    assert kernel_generator_degrees(_residue_field(1000)) == \
+        [((0, 1000), 1), ((1, 1), 1), ((1000, 0), 1)]
+    assert 0 < len(calls) <= 9
+
+
+def test_coker_scan_reduces_once_per_grid_cell(monkeypatch):
+    pm = _residue_field(60)
+    calls = _counting(monkeypatch, "column_space_pivot_rows")
+    module = coker_presentation(pm)
+    assert module.dims == {(0, 0): 1}
+    degrees = pm.row_degrees + pm.col_degrees
+    cells = len({a for a, _ in degrees}) * len({b for _, b in degrees})
+    assert 0 < len(calls) <= cells
+
+
+def test_constructors_refuse_non_integral_degrees():
+    with pytest.raises(ValueError,
+                       match="outer ideal exponent must be an integer, "
+                             "got 0.5"):
+        MonomialPair([(0.5, 0)], [(2, 0), (0.9, 1)])
+    with pytest.raises(ValueError,
+                       match="inner ideal exponent must be an integer, "
+                             "got 0.9"):
+        MonomialPair([(0, 0)], [(2, 0), (0.9, 1)])
+    with pytest.raises(ValueError,
+                       match="row degree must be an integer, got 0.7"):
+        PresentationMatrix(rows=[(0.7, 0)], cols=[], entries=[[]])
+    with pytest.raises(ValueError,
+                       match="column degree must be an integer, got 1/2"):
+        PresentationMatrix(rows=[(0, 0)], cols=[(Fraction(1, 2), 0)],
+                           entries=[[[]]])
+    with pytest.raises(ValueError,
+                       match="entry exponent must be an integer, got 1.5"):
+        PresentationMatrix(rows=[(0, 0)], cols=[(1, 0)],
+                           entries=[[[(1, (1.5, 0))]]])
+    assert PresentationMatrix(rows=[(0.0, 0)], cols=[(2.0, 0)],
+                              entries=[[[(1, (2.0, 0))]]]).col_degrees == \
+        ((2, 0),)
