@@ -93,10 +93,10 @@ class KPolynomial:
 
     def __init__(self, coefficients):
         self.coefficients = {}
-        for (a, b), c in dict(coefficients).items():
+        for alpha, c in dict(coefficients).items():
             c = integral(c, "coefficient")
             if c:
-                self.coefficients[(int(a), int(b))] = c
+                self.coefficients[integral_bidegree(alpha, "exponent")] = c
 
     def is_zero(self):
         return not self.coefficients

@@ -14,6 +14,7 @@ only twists, survivors, and ranks.
 
 from math import comb
 
+from .bigraded import integral
 from .errors import (CollapsedSurvivor, InternalInconsistency,
                      NoCollapsibleWindow)
 from .tables import DegreeSequence, PureTable, as_degree_sequence
@@ -27,8 +28,8 @@ def line_bundle_cohomology(m, e):
     (m = 0) the answer is reported as (1, 0) so that callers never
     count the same line twice.
     """
-    m = int(m)
-    e = int(e)
+    m = integral(m, "projective space dimension")
+    e = integral(e, "twist")
     if m < 0:
         raise ValueError("projective space dimension must be >= 0")
     if m == 0:
@@ -170,8 +171,8 @@ def collapse_step(twists, m, k):
     e = tuple(twists)
     if any(a >= b for a, b in zip(e, e[1:])):
         raise ValueError("twists must be strictly increasing")
-    m = int(m)
-    k = int(k)
+    m = integral(m, "m")
+    k = integral(k, "k")
     n_last = len(e) - 1
     if m < 0:
         raise ValueError("m must be nonnegative")

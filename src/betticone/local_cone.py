@@ -31,7 +31,8 @@ class LocalBettiVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        vals = tuple(Fraction(v) for v in entries)
+        vals = tuple(v if type(v) is Fraction else Fraction(v)
+                     for v in entries)
         if len(vals) < 2:
             raise ValueError("need at least beta_0 and beta_1 (dim >= 1)")
         if any(v < 0 for v in vals):

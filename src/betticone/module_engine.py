@@ -13,7 +13,6 @@ integers by _linalg after clearing denominators); the ranks involved
 are the same for any field of characteristic zero.
 """
 
-from bisect import bisect_right
 from fractions import Fraction
 
 from ._linalg import (ONE, ZERO, column_space_pivot_rows, integer_rows, rank,
@@ -171,26 +170,31 @@ def monomial_quotient(pair):
     The graded pieces sit on the staircase region between the two
     ideals, every nonzero piece is one dimensional, and multiplication
     is the identity wherever source and target both lie in the region.
-    Finite length fails exactly when the region escapes along a row or
-    a column, which shows up on the guard row and column just past the
-    generators; that is what gets checked.
+    Column a of the region is [low, high), the lowest b of an outer
+    and of an inner generator at or left of a.  Both change only at
+    generator a-coordinates, so the region is walked one interval per
+    step of their grid.  It is infinite exactly when a column has a low
+    but no high, or the last step's column (it repeats to the right
+    forever, so it is walked with no width) is nonempty.
     """
     go, gi = pair.gens_outer, pair.gens_inner
-    amax = max(a for a, _ in go + gi) + 1
-    bmax = max(b for _, b in go + gi) + 1
-    region = set()
-    for a in range(amax + 1):
-        for b in range(bmax + 1):
-            if _divisible((a, b), go) and not _divisible((a, b), gi):
-                region.add((a, b))
-    if any(a == amax or b == bmax for a, b in region):
-        raise NotFiniteLength(
-            f"quotient of {list(go)} by {list(gi)} has unbounded support")
-    dims = {p: 1 for p in region}
+    grid = sorted({a for a, _ in go + gi})
+    region = []
+    for a0, a1 in zip(grid, grid[1:] + grid[-1:]):
+        low = min((b for a, b in go if a <= a0), default=None)
+        high = min((b for a, b in gi if a <= a0), default=None)
+        if low is None or (high is not None and low >= high):
+            continue
+        if high is None or a1 == a0:
+            raise NotFiniteLength(
+                f"quotient of {list(go)} by {list(gi)} has unbounded "
+                "support")
+        region += [(a, b) for a in range(a0, a1) for b in range(low, high)]
+    inside = set(region)
     one = [[Fraction(1)]]
-    mult_x = {p: one for p in region if _shift(p, _X) in region}
-    mult_y = {p: one for p in region if _shift(p, _Y) in region}
-    return FiniteModule(dims, mult_x, mult_y)
+    mult_x = {p: one for p in region if _shift(p, _X) in inside}
+    mult_y = {p: one for p in region if _shift(p, _Y) in inside}
+    return FiniteModule(dict.fromkeys(region, 1), mult_x, mult_y)
 
 
 class PresentationMatrix:
@@ -225,8 +229,7 @@ class PresentationMatrix:
                     merged[expo] = merged.get(expo, Fraction(0)) \
                         + Fraction(coeff)
                 merged = {e: v for e, v in merged.items() if v != 0}
-                forced = (self.col_degrees[c][0] - self.row_degrees[r][0],
-                          self.col_degrees[c][1] - self.row_degrees[r][1])
+                forced = self.entry_exponent(r, c)
                 if not merged:
                     out.append(Fraction(0))
                     continue
@@ -255,21 +258,10 @@ def generic_rank(pm):
     return rank(pm.scalars)
 
 
-def _corner(degrees):
-    """Coordinatewise maximum of a nonempty list of bidegrees."""
-    return (max(a for a, _ in degrees), max(b for _, b in degrees))
-
-
 def _below(degrees, alpha):
     """Indices of the degrees that are <= alpha coordinatewise."""
     return [k for k, d in enumerate(degrees)
             if d[0] <= alpha[0] and d[1] <= alpha[1]]
-
-
-def _floors(coords, lo, hi):
-    """For each v in [lo, hi], the largest of coords that is <= v."""
-    grid = sorted(set(coords))
-    return [grid[bisect_right(grid, v) - 1] for v in range(lo, hi + 1)]
 
 
 def _integer_columns(pm):
@@ -309,48 +301,54 @@ def coker_presentation(pm):
     cells.  The lower corner of the cell holding alpha takes, on each
     axis, the largest degree coordinate at most alpha's, so a degree is
     <= alpha exactly when it is <= that corner: every bidegree of a
-    cell has the corner's surviving rows and columns.  So each cell is
-    reduced once, at its corner, and the map between two pieces is read
-    off their cells.
+    cell has the corner's surviving rows and columns.  So the scan
+    walks the cells: it reduces each once, at its corner, raises at the
+    first nonzero cell on the top layer (its corner is the first
+    nonzero bidegree there), expands only nonzero cells into pieces,
+    and reads the map between two cells off once.
     """
     if not pm.row_degrees:
         return FiniteModule({}, {}, {})
     degrees = pm.row_degrees + pm.col_degrees
     lo = (min(a for a, _ in pm.row_degrees),
           min(b for _, b in pm.row_degrees))
-    top = _corner(degrees)
-    a_floor = _floors([a for a, _ in degrees], lo[0], top[0])
-    b_floor = _floors([b for _, b in degrees], lo[1], top[1])
+    a_grid = sorted({a for a, _ in degrees if a >= lo[0]})
+    b_grid = sorted({b for _, b in degrees if b >= lo[1]})
+    top = (a_grid[-1], b_grid[-1])
     columns = _integer_columns(pm)
     cells = {}
-    pieces = {}
-    for a in range(lo[0], top[0] + 1):
-        for b in range(lo[1], top[1] + 1):
-            corner = (a_floor[a - lo[0]], b_floor[b - lo[1]])
-            if corner not in cells:
-                rows = _below(pm.row_degrees, corner)
-                cols = _below(pm.col_degrees, corner)
-                basis, pivots = column_space_pivot_rows(
-                    [[columns[c][r] for c in cols] for r in rows])
-                lead = dict(zip(pivots, basis))
-                free = [k for k in range(len(rows)) if k not in lead]
-                cells[corner] = (rows, free, lead)
-            if not cells[corner][1]:
+    pieces = []
+    for a0, a1 in zip(a_grid, a_grid[1:] + [None]):
+        for b0, b1 in zip(b_grid, b_grid[1:] + [None]):
+            corner = (a0, b0)
+            rows = _below(pm.row_degrees, corner)
+            cols = _below(pm.col_degrees, corner)
+            basis, pivots = column_space_pivot_rows(
+                [[columns[c][r] for c in cols] for r in rows])
+            lead = dict(zip(pivots, basis))
+            free = [k for k in range(len(rows)) if k not in lead]
+            if not free:
                 continue
-            alpha = (a, b)
-            if a == top[0] or b == top[1]:
+            if a1 is None or b1 is None:
                 raise NotFiniteLength(
-                    f"cokernel is nonzero at {alpha} on the top layer of "
+                    f"cokernel is nonzero at {corner} on the top layer of "
                     f"[{lo}, {top}], so its support is unbounded")
-            pieces[alpha] = corner
+            cells[corner] = (rows, free, lead)
+            pieces += [((a, b), corner) for a in range(a0, a1)
+                       for b in range(b0, b1)]
+    pieces = dict(sorted(pieces))
     dims = {alpha: len(cells[corner][1]) for alpha, corner in pieces.items()}
+    maps = {}
     mult_x = {}
     mult_y = {}
     for alpha, corner in pieces.items():
         for step, store in ((_X, mult_x), (_Y, mult_y)):
             target = pieces.get(_shift(alpha, step))
-            if target is not None:
-                store[alpha] = _cell_map(cells[corner], cells[target])
+            if target is None:
+                continue
+            if (corner, target) not in maps:
+                maps[corner, target] = _cell_map(cells[corner], cells[target])
+            store[alpha] = maps[corner, target]
     return FiniteModule(dims, mult_x, mult_y)
 
 
@@ -377,42 +375,37 @@ def bigraded_betti(mod):
         M(a-1, b-1) -> M(a-1, b) + M(a, b-1) -> M(a, b)
     with maps (y, -x) and (x, y); the three Betti numbers there are the
     dimensions of its homology, which elementary rank counting turns
-    into the formulas below.
+    into the formulas below.  Only the support shifted by (0,0), (1,0),
+    (0,1) or (1,1) meets a nonzero piece, and negating the x rows of
+    the first map keeps its rank.
     """
-    if not mod.dims:
-        return BigradedBettiTable({})
-    (alo, blo), (ahi, bhi) = mod.hull()
     entries = {}
-    for a in range(alo, ahi + 2):
-        for b in range(blo, bhi + 2):
-            alpha = (a, b)
-            corner = (a - 1, b - 1)
-            left = (a - 1, b)
-            below = (a, b - 1)
-            d_corner = mod.dim(corner)
-            d_left = mod.dim(left)
-            d_below = mod.dim(below)
-            d_here = mod.dim(alpha)
-            r2 = 0
-            if d_corner and (d_left or d_below):
-                block = [row[:] for row in mod.map_y(corner)]
-                block += [[-v for v in row] for row in mod.map_x(corner)]
-                r2 = rank(block)
-            r1 = 0
-            if d_here and (d_left or d_below):
-                mx = mod.map_x(left)
-                my = mod.map_y(below)
-                block = [mx[i] + my[i] for i in range(d_here)]
-                r1 = rank(block)
-            b2 = d_corner - r2
-            b1 = d_left + d_below - r1 - r2
-            b0 = d_here - r1
-            if b1 < 0:
-                raise InternalInconsistency(
-                    f"negative middle homology at {alpha}")
-            for i, value in ((0, b0), (1, b1), (2, b2)):
-                if value:
-                    entries[(i, alpha)] = value
+    for alpha in sorted({(a + da, b + db) for a, b in mod.dims
+                         for da in (0, 1) for db in (0, 1)}):
+        a, b = alpha
+        corner = (a - 1, b - 1)
+        left = (a - 1, b)
+        below = (a, b - 1)
+        d_corner = mod.dim(corner)
+        d_left = mod.dim(left)
+        d_below = mod.dim(below)
+        d_here = mod.dim(alpha)
+        r2 = 0
+        if d_corner and (d_left or d_below):
+            r2 = rank(mod.map_y(corner) + mod.map_x(corner))
+        r1 = 0
+        if d_here and (d_left or d_below):
+            r1 = rank([x + y for x, y in zip(mod.map_x(left),
+                                             mod.map_y(below))])
+        b2 = d_corner - r2
+        b1 = d_left + d_below - r1 - r2
+        b0 = d_here - r1
+        if b1 < 0:
+            raise InternalInconsistency(
+                f"negative middle homology at {alpha}")
+        for i, value in ((0, b0), (1, b1), (2, b2)):
+            if value:
+                entries[(i, alpha)] = value
     return BigradedBettiTable(entries)
 
 
@@ -489,9 +482,7 @@ def dual_module(mod):
     transposes of the originals; Betti tables transform by
     beta'_{i, alpha} = beta_{2 - i, c + (1,1) - alpha}.
     """
-    if not mod.dims:
-        return mod
-    c = (max(a for a, _ in mod.dims), max(b for _, b in mod.dims))
+    c = mod.hull()[1]
     dims = {(c[0] - a, c[1] - b): d for (a, b), d in mod.dims.items()}
     mult = {_X: {}, _Y: {}}
     for alpha in dims:

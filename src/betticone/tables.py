@@ -89,7 +89,7 @@ class GradedBettiTable:
     __slots__ = ("nvars", "entries")
 
     def __init__(self, nvars, entries):
-        nvars = int(nvars)
+        nvars = integral(nvars, "nvars")
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         clean = {}
@@ -100,8 +100,8 @@ class GradedBettiTable:
                 continue
             if b < 0:
                 raise ValueError(f"negative Betti entry at ({i},{j})")
-            i = int(i)
-            j = int(j)
+            i = integral(i, "homological degree")
+            j = integral(j, "degree")
             if not 0 <= i <= nvars:
                 raise ValueError(
                     f"homological degree {i} outside 0..{nvars}")
@@ -341,7 +341,7 @@ def is_finite_length_numerator(h, nvars):
     is a unit and does not affect divisibility by 1-t.
     """
     coeffs = dict(h.coefficients)
-    for _ in range(int(nvars)):
+    for _ in range(integral(nvars, "nvars")):
         if not coeffs:
             return True
         if sum(coeffs.values()) != 0:

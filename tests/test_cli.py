@@ -308,6 +308,19 @@ def test_resolve_two_distant_residue_fields(tmp_path, capsys):
         "  disconnected: 2",
     ]
 
+    k = 10**6
+    far = dict(obj, rows=[[0, 0], [k, k]],
+               cols=[[1, 0], [0, 1], [k + 1, k], [k, k + 1]])
+    path = _write(tmp_path, "far.json", far)
+    assert run(["resolve", path, "--check"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "beta_0: (0,0) (1000000,1000000)",
+        "beta_1: (0,1) (1,0) (1000000,1000001) (1000001,1000000)",
+        "beta_2: (1,1) (1000001,1000001)",
+        "Inconclusive",
+        "  disconnected: 2",
+    ]
+
 
 def test_resolve_writes_dot(tmp_path, capsys):
     path = _write(tmp_path, "sq.json", SQUARE_MODULE)

@@ -184,6 +184,13 @@ def test_sup_distance_is_a_metric_on_samples():
     assert sup_distance(u, w) <= sup_distance(u, v) + sup_distance(v, w)
 
 
+def test_vector_keeps_given_fractions():
+    half = Fraction(1, 2)
+    v = LocalBettiVector([half, 1])
+    assert v[0] is half
+    assert type(v[1]) is Fraction and v[1] == 1
+
+
 def test_vector_validation():
     with pytest.raises(ValueError):
         LocalBettiVector([])

@@ -881,6 +881,102 @@ def test_coker_scan_reduces_once_per_grid_cell(monkeypatch):
     assert 0 < len(calls) <= cells
 
 
+def _distant_pair(k):
+    """Residue fields at (0, 0) and (k, k), presented side by side."""
+    return PresentationMatrix(
+        rows=[(0, 0), (k, k)], cols=[(1, 0), (0, 1), (k + 1, k), (k, k + 1)],
+        entries=[[[(1, (1, 0))], [(1, (0, 1))], [], []],
+                 [[], [], [(1, (1, 0))], [(1, (0, 1))]]])
+
+
+def _two_point_quotient(k):
+    """(x^k, y^k) / (x^(k+1), x^k y, x y^k, y^(k+1)): residue fields at
+    (k, 0) and (0, k)."""
+    return MonomialPair([(k, 0), (0, k)],
+                        [(k + 1, 0), (k, 1), (1, k), (0, k + 1)])
+
+
+def _koszul_tables_at(*corners):
+    """Sum of the residue field's Koszul table moved to each corner."""
+    koszul = {(0, (0, 0)): 1, (1, (1, 0)): 1, (1, (0, 1)): 1,
+              (2, (1, 1)): 1}
+    return {(i, (a + c[0], b + c[1])): v
+            for c in corners for (i, (a, b)), v in koszul.items()}
+
+
+@pytest.mark.parametrize("k", [10, 10**6])
+def test_resolve_cost_follows_the_module_not_the_degrees(k):
+    """At k = 10**6 the degree hulls hold 10**12 bidegrees; the scans
+    walk grid cells and the support, so both sizes finish alike and
+    give the same tables up to translation."""
+    assert bigraded_betti(coker_presentation(_residue_field(k))).entries \
+        == _koszul_tables_at((0, 0))
+    assert bigraded_betti(coker_presentation(_distant_pair(k))).entries \
+        == _koszul_tables_at((0, 0), (k, k))
+    assert bigraded_betti(monomial_quotient(_two_point_quotient(k))) \
+        .entries == _koszul_tables_at((k, 0), (0, k))
+
+
+def test_oracle_visits_the_support_not_its_hull(monkeypatch):
+    module = coker_presentation(_distant_pair(300))
+    calls = []
+    inner = FiniteModule.dim
+
+    def counted(self, alpha):
+        calls.append(alpha)
+        return inner(self, alpha)
+
+    monkeypatch.setattr(FiniteModule, "dim", counted)
+    table = bigraded_betti(module)
+    assert table.entries == _koszul_tables_at((0, 0), (300, 300))
+    # 8 bidegrees (each support point plus (0,0), (1,0), (0,1), (1,1))
+    # times the 4 pieces of their Koszul complexes; the hull plus one
+    # would be 302 * 302 bidegrees
+    assert 0 < len(calls) <= 64
+
+
+def _guard_scan_region(pair):
+    """The region over the generators' box plus a guard row and column,
+    or None when it reaches the guard: the box scan that shares no code
+    with the grid walk in monomial_quotient."""
+    gens = pair.gens_outer + pair.gens_inner
+    box = (max(a for a, _ in gens) + 1, max(b for _, b in gens) + 1)
+    region = _region(pair, box)
+    if any(a == box[0] or b == box[1] for a, b in region):
+        return None
+    return region
+
+
+def test_monomial_quotient_matches_the_guard_scan():
+    rng = random.Random(20121209)
+    outcomes = set()
+    for _ in range(3000):
+        outer = [(rng.randint(0, 4), rng.randint(0, 4))
+                 for _ in range(rng.randint(1, 3))]
+        inner = [(rng.randint(0, 7), rng.randint(0, 7))
+                 for _ in range(rng.randint(1, 4))]
+        try:
+            pair = MonomialPair(outer, inner)
+        except NotContained:
+            continue
+        region = _guard_scan_region(pair)
+        try:
+            m = monomial_quotient(pair)
+        except NotFiniteLength:
+            assert region is None, pair
+            outcomes.add("infinite")
+            continue
+        assert region is not None, pair
+        assert m.dims == dict.fromkeys(region, 1), pair
+        assert list(m.dims) == sorted(m.dims)
+        assert set(m.mult_x) == {p for p in region
+                                 if (p[0] + 1, p[1]) in region}, pair
+        assert set(m.mult_y) == {p for p in region
+                                 if (p[0], p[1] + 1) in region}, pair
+        outcomes.add("finite" if region else "zero")
+    assert outcomes == {"finite", "zero", "infinite"}
+
+
 def test_constructors_refuse_non_integral_degrees():
     with pytest.raises(ValueError,
                        match="outer ideal exponent must be an integer, "

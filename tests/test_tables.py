@@ -21,6 +21,7 @@ from betticone import (
     DegreeSequence,
     GradedBettiTable,
     HilbertNumerator,
+    KPolynomial,
     NonIncreasingDegrees,
     PureTable,
     check_hk_equations,
@@ -33,6 +34,8 @@ from betticone import (
     monomial_quotient,
     MonomialPair,
     bigraded_betti,
+    collapse_step,
+    line_bundle_cohomology,
     normalize_positive_integers,
     proportionality_ratio,
     pure_from_json_obj,
@@ -165,6 +168,27 @@ def test_hilbert_numerator_clears_denominators():
     assert h.scale == 2
     assert h.coefficients == {0: 1, 1: -1}
     assert is_finite_length_numerator(h, 1)
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (GradedBettiTable, (2.5, {(0, 0): 1}), "nvars .* got 2.5"),
+    (GradedBettiTable, (2, {(0.5, 0): 1}), "homological degree .* got 0.5"),
+    (GradedBettiTable, (2, {(0, 1.5): 1}), "degree .* got 1.5"),
+    (KPolynomial, ({(0.5, 0): 1},), "exponent .* got 0.5"),
+    (KPolynomial, ({(0, -1.5): 1},), "exponent .* got -1.5"),
+    (line_bundle_cohomology, (1.5, 0), "dimension .* got 1.5"),
+    (line_bundle_cohomology, (1, -0.5), "twist .* got -0.5"),
+    (collapse_step, ((0, 1, 2), 1.5, 0), "m .* got 1.5"),
+    (collapse_step, ((0, 1, 2), 1, 0.5), "k .* got 0.5"),
+    (is_finite_length_numerator, (HilbertNumerator({0: 1, 1: -1}), 1.5),
+     "nvars .* got 1.5"),
+], ids=["graded-nvars", "graded-i", "graded-j", "kpoly-a", "kpoly-b",
+        "line-bundle-m", "line-bundle-e", "collapse-m", "collapse-k",
+        "numerator-nvars"])
+def test_integer_fields_refuse_non_integral_values(build, args, message):
+    """Non-integral integer fields are refused, never truncated."""
+    with pytest.raises(ValueError, match=message):
+        build(*args)
 
 
 def test_is_finite_length_numerator_negative_case():
