@@ -28,10 +28,9 @@ from .es_construct import (ESPlan, TwistTable, collapse_step, es_plan,
                            es_ranks, line_bundle_cohomology,
                            render_plan_text, twist_table)
 from .local_cone import (BOUNDARY, INSIDE, OUTSIDE, LocalBettiVector,
-                         LocalRay, is_in_local_cone, limit_degrees,
-                         limit_table, local_from_graded,
-                         local_ray_coefficients, ray_vector,
-                         sup_distance)
+                         is_in_local_cone, limit_degrees, limit_table,
+                         local_from_graded, local_ray_coefficients,
+                         ray_vector, sup_distance)
 from .module_engine import (FiniteModule, MonomialPair,
                             PresentationMatrix, bigraded_betti,
                             coker_presentation, dual_module,

@@ -12,7 +12,6 @@ answer is always "inconclusive", never "not extremal".
 """
 
 import itertools
-from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -126,61 +125,59 @@ class MatchingGraph:
 
     vertices: alpha -> (weight, frozenset of contributing homological
     degrees).  Two vertices are x-adjacent iff they share the first
-    coordinate, y-adjacent iff they share the second; valency and
-    connectivity come from the column and row groups, and the edge
-    lists are only built when read.
+    coordinate, y-adjacent iff they share the second.  The vertices are
+    grouped by column and by row once; valency, connectivity and the
+    edge lists are all read off those groups.
     """
 
-    __slots__ = ("vertices", "_column", "_row")
+    __slots__ = ("vertices", "_columns", "_rows")
 
     def __init__(self, vertices):
         self.vertices = dict(vertices)
-        self._column = Counter(a for a, _ in self.vertices)
-        self._row = Counter(b for _, b in self.vertices)
+        self._columns, self._rows = {}, {}
+        for a, b in self.vertices:
+            self._columns.setdefault(a, []).append((a, b))
+            self._rows.setdefault(b, []).append((a, b))
 
     @property
     def x_edges(self):
         """Sorted vertex pairs sharing the first coordinate."""
-        return self._edges(0)
+        return _pairs_within(self._columns)
 
     @property
     def y_edges(self):
         """Sorted vertex pairs sharing the second coordinate."""
-        return self._edges(1)
-
-    def _edges(self, axis):
-        return tuple((u, w) for u, w
-                     in itertools.combinations(sorted(self.vertices), 2)
-                     if u[axis] == w[axis])
+        return _pairs_within(self._rows)
 
     def x_valency(self, alpha):
         """Other vertices sharing alpha's first coordinate."""
-        return self._column[alpha[0]] - 1
+        return len(self._columns.get(alpha[0], ())) - 1
 
     def y_valency(self, alpha):
         """Other vertices sharing alpha's second coordinate."""
-        return self._row[alpha[1]] - 1
+        return len(self._rows.get(alpha[1], ())) - 1
 
     def is_connected(self):
         return self.component_count() <= 1
 
     def component_count(self):
-        """Components, joining each vertex to the first vertex of its
-        column and of its row (the same components as the edges)."""
-        parent = {v: v for v in self.vertices}
+        """Components, by one union per vertex between its column and
+        its row; every column holds a vertex, so its roots count them."""
+        parent = {}
 
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
+        def find(node):
+            while parent.setdefault(node, node) != node:
+                parent[node] = node = parent[parent[node]]
+            return node
 
-        first_in_column = {}
-        first_in_row = {}
-        for v in self.vertices:
-            parent[find(v)] = find(first_in_column.setdefault(v[0], v))
-            parent[find(v)] = find(first_in_row.setdefault(v[1], v))
-        return len({find(v) for v in parent})
+        for a, b in self.vertices:
+            parent[find((0, a))] = find((1, b))
+        return len({find((0, a)) for a in self._columns})
+
+
+def _pairs_within(groups):
+    return tuple(sorted(pair for group in groups.values()
+                        for pair in itertools.combinations(sorted(group), 2)))
 
 
 def matching_graph(t):
@@ -308,13 +305,18 @@ def json_list(value, field):
 
 def integral(value, field):
     """value as an int, else a ValueError naming the field; a
-    non-integral value is refused rather than truncated."""
+    non-integral value is refused rather than truncated, and so is a
+    value int() cannot take (None, inf, NaN, any string)."""
     if type(value) is int:
         return value
-    n = int(value)
-    if n != value:
-        raise ValueError(f"{field} must be an integer, got {value}")
-    return n
+    try:
+        n = int(value)
+        if n == value:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    shown = repr(value) if isinstance(value, str) else value
+    raise ValueError(f"{field} must be an integer, got {shown}")
 
 
 def integral_bidegree(alpha, field="bidegree"):

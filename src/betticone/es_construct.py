@@ -87,9 +87,6 @@ class TwistTable:
         self.plan = plan
         self.rows = tuple(rows)
 
-    def survivors(self):
-        return [row for row in self.rows if row.survivor]
-
 
 def es_plan(d):
     """Build the degree plan for a strictly increasing sequence.
@@ -146,14 +143,11 @@ def es_ranks(p):
         for m, base in p.factors:
             e = base - dk
             h0, htop = line_bundle_cohomology(m, e)
-            if e >= 0:
-                rank *= h0
-            elif e <= -m - 1:
-                rank *= htop
-            else:
+            if not (h0 or htop):
                 raise CollapsedSurvivor(
                     f"survivor row d_{k}={dk} hits the vanishing window "
                     f"of a P^{m} factor (twist {e})")
+            rank *= h0 or htop
         mults.append(rank)
     return PureTable(p.degrees, mults)
 

@@ -74,29 +74,13 @@ class LocalBettiVector:
         return LocalBettiVector(tuple(c * v for v in self.entries))
 
 
-class LocalRay:
-    """Index i standing for rho_i = e_i + e_{i+1} in dimension n."""
-
-    __slots__ = ("index", "n")
-
-    def __init__(self, index, n):
-        if not 0 <= index <= n - 1:
-            raise ValueError(f"ray index {index} outside 0..{n - 1}")
-        self.index = index
-        self.n = n
-
-    def vector(self):
-        v = [Fraction(0)] * (self.n + 1)
-        v[self.index] = Fraction(1)
-        v[self.index + 1] = Fraction(1)
-        return LocalBettiVector(v)
-
-    def __repr__(self):
-        return f"LocalRay(rho_{self.index}, n={self.n})"
-
-
 def ray_vector(index, n):
-    return LocalRay(index, n).vector()
+    """rho_index = e_index + e_{index+1} in dimension n."""
+    if not 0 <= index <= n - 1:
+        raise ValueError(f"ray index {index} outside 0..{n - 1}")
+    v = [0] * (n + 1)
+    v[index] = v[index + 1] = 1
+    return LocalBettiVector(v)
 
 
 class LocalVerdict:
@@ -118,7 +102,10 @@ class LocalVerdict:
 
 
 def _back_partial_sums(v):
-    """s_i = sum_{k=i}^{n} (-1)^(k-i) beta_k for i = n down to 0."""
+    """s_i = sum_{k=i}^{n} (-1)^(k-i) beta_k for i = n down to 0, of v
+    read as a LocalBettiVector."""
+    if not isinstance(v, LocalBettiVector):
+        v = LocalBettiVector(v)
     sums = []
     acc = Fraction(0)
     for beta in reversed(v.entries):
@@ -136,8 +123,6 @@ def is_in_local_cone(v):
     nonnegative, at least one zero.  Outside: off the hyperplane or
     some partial sum negative.
     """
-    if not isinstance(v, LocalBettiVector):
-        v = LocalBettiVector(v)
     sums = _back_partial_sums(v)
     total, partials = sums[0], sums[1:]
     if total != 0:
@@ -157,8 +142,6 @@ def local_ray_coefficients(v):
     Only defined on the hyperplane where the alternating sum vanishes;
     there c_i = s_{i+1}, and all c_i > 0 exactly on cone members.
     """
-    if not isinstance(v, LocalBettiVector):
-        v = LocalBettiVector(v)
     sums = _back_partial_sums(v)
     if sums[0] != 0:
         raise NotOnHyperplane(

@@ -28,9 +28,11 @@ staircase region, and every pair of generator antichains in the box
 with its quotient module through the Koszul oracle.
 """
 
+import itertools
+
 from .bigraded import (BigradedBettiTable, check_extremality_certificate,
                        integral_bidegree)
-from .errors import BoundTooLarge, NotFiniteLength
+from .errors import BoundTooLarge
 from .module_engine import (PresentationMatrix, bigraded_betti,
                             coker_presentation, dual_module)
 
@@ -178,6 +180,11 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     pruned_regions walks them, plus the presentation seeds from the
     catalogue.  Certified tables are returned gcd-normalized, one per
     scalar class, sorted by their canonical keys.
+
+    Only the seed tables are checked against the box.  A region the
+    walk yields is nonempty, its table lies in [0, B1] x [0, B2], and
+    its module has finite length, so a NotFiniteLength raised by the
+    certificate on it is a bug and surfaces.
     """
     b1, b2 = integral_bidegree(bound, "box")
     if max_box < 0:
@@ -190,28 +197,14 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     if b1 < 0 or b2 < 0:
         raise ValueError("box corners must be nonnegative")
 
-    def fits(table):
-        return all(0 <= a <= b1 and 0 <= b <= b2
-                   for a, b in table.support())
-
-    found = set()
-
-    def consider(table):
-        if table.is_empty() or not fits(table):
-            return
-        try:
-            verdict = check_extremality_certificate(table)
-        except NotFiniteLength:
-            return
-        if verdict.is_extremal():
-            found.add(table.canonical_key())
-
-    for _, table in pruned_regions(b1, b2):
-        consider(table)
-
+    seeds = []
     for _, seed in seed_catalogue():
         module = coker_presentation(seed)
-        consider(bigraded_betti(module))
-        consider(bigraded_betti(dual_module(module)))
-
+        seeds += [bigraded_betti(module), bigraded_betti(dual_module(module))]
+    candidates = itertools.chain(
+        (table for _, table in pruned_regions(b1, b2)),
+        (table for table in seeds
+         if all(0 <= a <= b1 and 0 <= b <= b2 for a, b in table.support())))
+    found = {table.canonical_key() for table in candidates
+             if check_extremality_certificate(table).is_extremal()}
     return [BigradedBettiTable(dict(k)) for k in sorted(found)]

@@ -310,7 +310,8 @@ def check_hk_equations(t):
 
     The equations are tested on the signed numerators c_j folded by
     internal degree, stepping c_j <- c_j * j from one power of j to the
-    next.
+    next.  Moments that are all 0 stay 0, so the loop stops there
+    instead of running nvars times.
     """
     folded = _folded(clear_denominators(t.entries)[0])
     degrees = list(folded)
@@ -318,6 +319,8 @@ def check_hk_equations(t):
     for _ in range(t.nvars):
         if sum(moments):
             return False
+        if not any(moments):
+            break
         moments = [c * j for c, j in zip(moments, degrees)]
     return True
 

@@ -12,6 +12,8 @@ leave out regions whose tables fail the certificate.
 
 from __future__ import annotations
 
+import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,6 +25,7 @@ from betticone import (
     CERT_EXTREMAL,
     CERT_INCONCLUSIVE,
     FiniteModule,
+    GradedBettiTable,
     KPolynomial,
     MonomialPair,
     NotFiniteLength,
@@ -116,6 +119,85 @@ def test_non_integral_bidegrees_and_boxes_are_refused():
         enumerate_box_rays((2.9, 2))
     assert BigradedBettiTable({(0, (1.0, 0)): 1}).entries == \
         {(0, (1, 0)): 1}
+
+
+INTEGER_FIELDS = {
+    "count": lambda v: BigradedBettiTable({(0, (0, 0)): v}),
+    "box": lambda v: enumerate_box_rays((v, 2)),
+    "nvars": lambda v: GradedBettiTable(v, {}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+@pytest.mark.parametrize("value, shown", [
+    (None, "None"), (float("inf"), "inf"), (float("nan"), "nan"),
+    ("a", "'a'"), ("2", "'2'")])
+def test_integer_fields_name_the_field_for_any_bad_value(field, value,
+                                                         shown):
+    message = f"{field} must be an integer, got {shown}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        INTEGER_FIELDS[field](value)
+
+
+def _reference_graph(vertices):
+    """Edges by scanning every pair of sorted vertices, valency by
+    counting vertices per coordinate, and components by a union-find
+    over vertices joined to the first vertex of their column and row."""
+    ordered = sorted(vertices)
+    x_edges, y_edges = (tuple((u, w) for u, w in combinations(ordered, 2)
+                              if u[axis] == w[axis]) for axis in (0, 1))
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    first_in_column = {}
+    first_in_row = {}
+    for v in vertices:
+        parent[find(v)] = find(first_in_column.setdefault(v[0], v))
+        parent[find(v)] = find(first_in_row.setdefault(v[1], v))
+    components = len({find(v) for v in parent})
+
+    def valency(axis, alpha):
+        return sum(1 for v in vertices if v[axis] == alpha[axis]) - 1
+
+    return x_edges, y_edges, valency, components
+
+
+def _graph_inputs():
+    yield BigradedBettiTable({})
+    yield _koszul_table()
+    yield _square_table()
+    disconnected = dict(KOSZUL_ENTRIES)
+    for (i, (a, b)), v in KOSZUL_ENTRIES.items():
+        disconnected[(i, (a + 5, b + 5))] = v
+    yield BigradedBettiTable(disconnected)
+    mixed = dict(KOSZUL_ENTRIES)
+    for (i, (a, b)), v in KOSZUL_ENTRIES.items():
+        mixed[(i, (a + 1, b + 1))] = mixed.get((i, (a + 1, b + 1)), 0) + v
+    yield BigradedBettiTable(mixed)
+    rng = random.Random(20121)
+    for _ in range(300):
+        yield BigradedBettiTable({
+            (rng.randrange(3), (rng.randrange(6), rng.randrange(6))):
+                rng.randint(1, 3)
+            for _ in range(rng.randrange(16))})
+
+
+def test_grouped_matching_graph_matches_the_pair_scan():
+    for t in _graph_inputs():
+        g = matching_graph(t)
+        x_edges, y_edges, valency, components = _reference_graph(
+            list(g.vertices))
+        assert g.x_edges == x_edges
+        assert g.y_edges == y_edges
+        assert g.component_count() == components
+        for alpha in [(a, b) for a in range(-1, 8) for b in range(-1, 8)]:
+            assert g.x_valency(alpha) == valency(0, alpha)
+            assert g.y_valency(alpha) == valency(1, alpha)
 
 
 def test_matching_graph_of_koszul_table():

@@ -156,6 +156,23 @@ def test_decompose_json_reports_completeness(tmp_path, capsys):
     assert obj["residual"] == []
 
 
+@pytest.mark.parametrize("entries, code, out, err", [
+    ([{"i": 0, "j": 0, "b": "1"}, {"i": 1, "j": 0, "b": "1"}], 1,
+     "residual: (0,0)=1 (1,0)=1\n",
+     "error: projective dimension 1 != nvars 1000000000; "
+     "greedy chain stuck\n"),
+    ([], 0, "residual: empty\n", ""),
+], ids=["two-entries", "empty"])
+def test_decompose_with_huge_nvars_returns_at_once(tmp_path, entries, code,
+                                                  out, err):
+    obj = {"kind": "graded", "nvars": 10 ** 9, "entries": entries}
+    path = _write(tmp_path, "huge.json", obj)
+    proc = subprocess.run(
+        [sys.executable, "-m", "betticone", "decompose", path],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 def test_local_check_inside(capsys):
     assert run(["local", "check", "1,2,1"]) == 0
     assert capsys.readouterr().out == "INSIDE c=(1,1)\n"
