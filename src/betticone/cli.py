@@ -10,6 +10,7 @@ path given by --dot, never to stdout.
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -49,8 +50,49 @@ def _load_json(path):
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
+_scalar_json = json.JSONEncoder().encode
+_str_json = json.encoder.encode_basestring_ascii
+_int_json = int.__repr__
+
+
+def _key_json(key):
+    if isinstance(key, str):
+        return _str_json(key)
+    if key is None or isinstance(key, (int, float)):
+        return _str_json(_scalar_json(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_text(obj, pad):
+    """The bytes of json.dumps(obj, indent=2) for a value at the
+    indentation `pad` ("\\n" plus two spaces a level).  Containers are
+    recognised by isinstance, as json does, and built by one join each;
+    every other value goes through json's C one-line encoder, which
+    writes scalars (NaN and the infinities included) as json.dumps
+    does and raises TypeError on anything it cannot encode."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            (_str_json(k) if k.__class__ is str else _key_json(k)) + ": "
+            + (_int_json(v) if v.__class__ is int else _json_text(v, inner))
+            for k, v in obj.items()]) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([
+            _int_json(v) if v.__class__ is int else _json_text(v, inner)
+            for v in obj]) + pad + "]"
+    if obj.__class__ is str:
+        return _str_json(obj)
+    return _scalar_json(obj)
+
+
 def _print_json(obj):
-    print(json.dumps(obj, indent=2))
+    print(_json_text(obj, "\n"))
 
 def _write_dot(path, verdict):
     with open(path, "w", encoding="utf-8") as handle:
@@ -341,7 +383,16 @@ def run(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`| head`), which is no input error.
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except BetticoneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

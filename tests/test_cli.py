@@ -7,11 +7,17 @@ success, 1 for domain errors (message on stderr), 2 for usage errors.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betticone import (
     bigraded_betti,
@@ -21,6 +27,7 @@ from betticone import (
     monomial_quotient,
     MonomialPair,
 )
+from betticone import cli
 from betticone.cli import run
 from betticone.tables import graded_to_json_obj
 
@@ -474,3 +481,260 @@ def test_package_runs_as_a_module():
     assert proc.returncode == 0
     assert proc.stdout == "(0,1,3,5) : 8 15 10 3\n"
     assert proc.stderr == ""
+
+
+# --json writer: json.dumps(obj, indent=2) is the reference route and
+# stays in the tests only.
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_TEXT = st.text(st.characters() | st.characters(categories=["Cs"])
+                | st.sampled_from("\x00\x1f\x7f\"\\/ \U0001f600"),
+                max_size=8)
+_SCALARS = (st.none() | st.booleans() | _TEXT | st.floats()
+            | st.integers(-10**30, 10**30)
+            | st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                               -0.0]))
+_KEYS = (_TEXT | st.none() | st.booleans() | st.integers(-10**30, 10**30)
+         | st.floats())
+_TREES = st.recursive(_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.lists(children, max_size=4).map(_List),
+    st.dictionaries(_KEYS, children, max_size=4),
+    st.dictionaries(_TEXT, children, max_size=4).map(_Dict),
+), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj, "\n") == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    Fraction(1, 2),
+    [1, {"a": {2, 3}}],
+    {(0, 1): 1},
+    {"a": {b"key": 1}},
+    _Dict({Fraction(1, 2): 1}),
+], ids=["fraction", "set", "tuple-key", "bytes-key", "fraction-key"])
+def test_json_writer_raises_where_json_dumps_does(obj):
+    with pytest.raises(TypeError) as reference:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(obj, "\n")
+    assert str(got.value) == str(reference.value)
+
+
+STUCK_TABLE = {
+    "kind": "graded",
+    "nvars": 2,
+    "entries": [
+        {"i": 0, "j": 0, "b": "1"},
+        {"i": 1, "j": 1, "b": "3"},
+        {"i": 1, "j": 3, "b": "1"},
+        {"i": 2, "j": 2, "b": "3"},
+    ],
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["hk", "0,1,3,5"], 0),
+    (["es-plan", "0,3,5,6"], 0),
+    (["decompose", "{pure}"], 0),
+    (["decompose", "{stuck}"], 1),
+    (["local", "check", "3/2,3,3/2"], 0),
+    (["local", "check", "1,1,1"], 0),
+    (["local", "coeffs", "1,2,1"], 0),
+    (["local", "limit", "--i", "0", "--j", "100", "--n", "2"], 0),
+    (["bigraded", "check", "{mixed}"], 0),
+    (["bigraded", "rays", "--box", "2,2"], 0),
+    (["resolve", "{square}"], 0),
+    (["resolve", "{square}", "--check"], 0),
+    (["resolve", "{pacman}", "--check"], 0),
+    (["version"], 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_every_json_path_prints_the_json_dumps_bytes(tmp_path, capsys,
+                                                    argv, code):
+    mixed = bigraded_betti(monomial_quotient(
+        MonomialPair([(1, 0), (0, 1)], [(2, 0), (1, 2), (0, 3)])))
+    files = {
+        "pure": _write(tmp_path, "pure.json", graded_to_json_obj(
+            hk_pure_table([0, 2, 3]).to_graded())),
+        "stuck": _write(tmp_path, "stuck.json", STUCK_TABLE),
+        "mixed": _write(tmp_path, "mixed.json",
+                        bigraded.bigraded_to_json_obj(mixed)),
+        "square": _write(tmp_path, "square.json", SQUARE_MODULE),
+        "pacman": _write(tmp_path, "pacman.json", PACMAN_MODULE),
+    }
+    assert run([a.format(**files) for a in argv] + ["--json"]) == code
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("box, digest", [
+    ("3,3", "46b45a86332971217c0f9274c29a19abb378fee45143bb1e74fa26444fce7f47"),
+    ("4,4", "befdce2792c407f7329c7c2bca960bf58004011b93a585b2c9b0dae46898b7c9"),
+    ("5,3", "772e483c561a4f925e3ae9179b0199133256551d9c6f827e81127cc9c57f4550"),
+    ("5,5", "b703f774c5285aa15bfdef6ea36d07e155fb4fa64eadb1a4274b907bee1a54bd"),
+], ids=["3,3", "4,4", "5,3", "5,5"])
+def test_rays_json_bytes_are_pinned(capsys, box, digest):
+    assert run(["bigraded", "rays", "--box", box, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_reader_closing_the_pipe_is_no_error():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "betticone", "bigraded", "rays", "--box",
+         "4,4", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # the listing is far longer than a pipe buffer, so the writer is
+    # still writing when the reader goes away
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+# CLI fuzz.  Numbers stay in -1..4, and drawn text holds no digit, so
+# that a drawn box, degree sequence or exponent runs in milliseconds:
+# ray boxes, `es-plan 0,D`, `local limit --n N` and the module of a
+# presentation grow with the integers they are given.
+
+_SMALL = st.integers(-1, 4)
+_WORDS = _TEXT.filter(lambda t: not any(c.isdigit() for c in t))
+_INT = _SMALL.map(str)
+_INTS = st.lists(_SMALL, min_size=1, max_size=5).map(
+    lambda ns: ",".join(map(str, ns)))
+_FRACS = st.lists(st.sampled_from(["0", "1", "2", "-1", "1/2", "3/2",
+                                   "1/0"]),
+                  min_size=1, max_size=5).map(",".join)
+# Each command line, with a placeholder for each value it takes.
+_ARGVS = [
+    ["hk", _INTS], ["es-plan", _INTS], ["decompose", "FILE"],
+    ["local", "check", _FRACS], ["local", "coeffs", _FRACS],
+    ["local", "limit", "--i", _INT, "--j", _INT, "--n", _INT],
+    ["bigraded", "check", "FILE"], ["bigraded", "rays", "--box", _INTS],
+    ["resolve", "FILE"], ["version"], ["local"], ["bigraded"], [],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "table.json").write_text(json.dumps(STUCK_TABLE),
+                                     encoding="utf-8")
+    (path / "module.json").write_text(json.dumps(PACMAN_MODULE),
+                                      encoding="utf-8")
+    return path
+
+
+def _fuzz_argv(data, fuzz_dir):
+    files = st.sampled_from(["table.json", "module.json", "missing.json",
+                             ""]).map(lambda name: str(fuzz_dir / name))
+    # --dot writes a file, so it only ever comes with a path in
+    # fuzz_dir, and drawn text never starts with "-" (argparse takes
+    # prefixes of long options) or holds a "/".
+    any_token = st.one_of(
+        st.sampled_from(["--json", "--check", "--box", "--max-box", "--i",
+                         "--j", "--n", "--help", "--", "1e3", "1.5", "a",
+                         ""]).map(lambda t: [t]),
+        st.one_of(_INT, _INTS, _FRACS, files).map(lambda t: [t]),
+        _WORDS.filter(lambda t: not t.startswith("-") and "/" not in t)
+        .map(lambda t: [t]),
+        st.sampled_from(["g.dot", "missing/g.dot", ""]).map(
+            lambda name: ["--dot", str(fuzz_dir / name)]),
+    )
+    argv = []
+    for word in data.draw(st.sampled_from(_ARGVS)):
+        if isinstance(word, str) and word != "FILE":
+            argv.append(word)
+        elif data.draw(st.integers(0, 4)):
+            argv.append(data.draw(files if word == "FILE" else word))
+        else:
+            argv += data.draw(any_token)
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+        at = data.draw(st.integers(0, len(argv)))
+        argv[at:at] = data.draw(any_token)
+    return argv
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_fuzzed_argv_never_escapes(fuzz_dir, data):
+    argv = _fuzz_argv(data, fuzz_dir)
+    code, err = _run_quietly(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | _SMALL | _WORDS
+                | st.sampled_from([0.5, 2.0, -1.5, float("nan"),
+                                   float("inf"), float("-inf"), "1",
+                                   "-1/2", "1/0", "graded", "bigraded",
+                                   "presentation", "monomial_quotient"]))
+_JSON_KEYS = st.sampled_from(["kind", "nvars", "entries", "i", "j", "b",
+                              "deg", "rows", "cols", "outer",
+                              "inner"]) | _WORDS
+_JSON = st.recursive(_JSON_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.dictionaries(_JSON_KEYS, children, max_size=4),
+), max_leaves=20)
+
+# Each valid input with the command that reads it.
+_VALID_INPUTS = [
+    (["decompose"], STUCK_TABLE),
+    (["decompose"], graded_to_json_obj(hk_pure_table([0, 2, 3]).to_graded())),
+    (["resolve"], SQUARE_MODULE),
+    (["resolve", "--check"], PACMAN_MODULE),
+    (["bigraded", "check"], {"kind": "bigraded", "entries": [
+        {"i": 0, "deg": [0, 0], "b": 1}, {"i": 1, "deg": [0, 1], "b": 1},
+        {"i": 1, "deg": [1, 0], "b": 1}, {"i": 2, "deg": [1, 1], "b": 1}]}),
+]
+
+
+def _mutated(data, obj):
+    """obj with one node, picked by data, replaced by arbitrary JSON."""
+    if isinstance(obj, (dict, list)) and obj and data.draw(
+            st.integers(0, 4)):
+        key = data.draw(st.sampled_from(
+            list(obj) if isinstance(obj, dict) else range(len(obj))))
+        copy = dict(obj) if isinstance(obj, dict) else list(obj)
+        copy[key] = _mutated(data, obj[key])
+        return copy
+    return data.draw(_JSON_LEAVES if data.draw(st.booleans()) else _JSON)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_json_input_never_escapes(fuzz_dir, data):
+    command, obj = data.draw(st.sampled_from(_VALID_INPUTS))
+    for _ in range(data.draw(st.sampled_from([0, 1, 1, 2]))):
+        obj = _mutated(data, obj)
+    if not data.draw(st.integers(0, 3)):
+        obj = data.draw(_JSON)
+    if not data.draw(st.integers(0, 3)):
+        command = data.draw(st.sampled_from(_VALID_INPUTS))[0]
+    path = fuzz_dir / "input.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    argv = command + [str(path)] + data.draw(st.sampled_from(
+        [[], ["--json"]]))
+    code, err = _run_quietly(argv)
+    assert code in (0, 1, 2), (obj, argv, code)
+    assert "Traceback" not in err, (obj, argv)

@@ -4,7 +4,7 @@ Intra-package imports must form an acyclic graph and must sit at module
 level: an import inside a function hides a dependency from the reader
 and is the usual way a cycle gets papered over.  No module reads the
 process environment: every setting is an argument or a command line
-option.
+option.  No module calls json's indenting encoder.
 """
 
 from __future__ import annotations
@@ -99,4 +99,14 @@ def test_no_function_imports_from_the_package():
             for node in ast.walk(func):
                 if _targets(node):
                     found.append(f"{name}.{func.name} line {node.lineno}")
+    assert not found, found
+
+
+def test_no_module_calls_the_indent_encoder():
+    """--json output has one writer, cli._json_text; json.dumps(...,
+    indent=2) is its reference route in tests/test_cli.py only."""
+    found = [f"{name} line {node.lineno}"
+             for name, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and any(kw.arg == "indent" for kw in node.keywords)]
     assert not found, found
