@@ -41,6 +41,17 @@ class BigradedBettiTable:
             clean[(i, integral_bidegree(alpha))] = count
         self.entries = clean
 
+    @classmethod
+    def _trusted(cls, entries):
+        """A table over entries already in the form __init__ produces:
+        a dict from (i, (a, b)), i in {0, 1, 2} and a, b ints, to
+        positive int counts.  It skips every check, so only library
+        code whose entries have that form by construction calls it, and
+        says why at the call."""
+        table = cls.__new__(cls)
+        table.entries = entries
+        return table
+
     def entry(self, i, alpha):
         return self.entries.get((i, tuple(alpha)), 0)
 
@@ -58,7 +69,9 @@ class BigradedBettiTable:
         return sorted({alpha for _, alpha in self.entries})
 
     def gcd_normalized(self):
-        return BigradedBettiTable(dict(self.canonical_key()))
+        """The table divided by the gcd of its counts: the canonical
+        key's entries are this table's keys with positive int counts."""
+        return BigradedBettiTable._trusted(dict(self.canonical_key()))
 
     def swap_xy(self):
         """Mirror image under exchanging the two variables."""

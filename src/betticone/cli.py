@@ -9,6 +9,7 @@ path given by --dot, never to stdout.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -376,10 +377,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first run and reused by later runs in
+    the same process; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

@@ -60,6 +60,18 @@ class FiniteModule:
         self.mult_y = self._check_maps(mult_y, _Y, "y")
         self._check_commuting()
 
+    @classmethod
+    def _trusted(cls, dims, mult_x, mult_y):
+        """A module over fields already in the form __init__ produces:
+        dims maps int bidegrees to positive ints, and each map holds a
+        Fraction matrix of the right shape only where source and target
+        are nonzero, the two multiplications commuting.  It skips every
+        check, so only library code whose module has that form by
+        construction calls it, and says why at the call."""
+        module = cls.__new__(cls)
+        module.dims, module.mult_x, module.mult_y = dims, mult_x, mult_y
+        return module
+
     def _check_maps(self, maps, step, name):
         clean = {}
         for alpha, matrix in dict(maps).items():
@@ -176,6 +188,13 @@ def monomial_quotient(pair):
     step of their grid.  It is infinite exactly when a column has a low
     but no high, or the last step's column (it repeats to the right
     forever, so it is walked with no width) is nonempty.
+
+    The module is built unchecked: its pieces are one-dimensional at
+    int bidegrees, a map is the 1 x 1 identity exactly where source
+    and target lie in the region, and the two multiplications commute
+    because both ways round from a cell to its (1,1) neighbour are the
+    identity (the region is order-convex, so both middle cells lie in
+    it whenever the two ends do).
     """
     go, gi = pair.gens_outer, pair.gens_inner
     grid = sorted({a for a, _ in go + gi})
@@ -191,10 +210,10 @@ def monomial_quotient(pair):
                 "support")
         region += [(a, b) for a in range(a0, a1) for b in range(low, high)]
     inside = set(region)
-    one = [[Fraction(1)]]
+    one = [[ONE]]
     mult_x = {p: one for p in region if _shift(p, _X) in inside}
     mult_y = {p: one for p in region if _shift(p, _Y) in inside}
-    return FiniteModule(dict.fromkeys(region, 1), mult_x, mult_y)
+    return FiniteModule._trusted(dict.fromkeys(region, 1), mult_x, mult_y)
 
 
 class PresentationMatrix:
@@ -306,9 +325,17 @@ def coker_presentation(pm):
     first nonzero cell on the top layer (its corner is the first
     nonzero bidegree there), expands only nonzero cells into pieces,
     and reads the map between two cells off once.
+
+    The module is built unchecked: every piece has its cell's free
+    rows as basis, so its dimension is a positive int at an int
+    bidegree; a map is stored only between two pieces, as a Fraction
+    matrix (the rref basis is Fraction) of shape target free rows by
+    source free rows; and both multiplications are induced by the
+    inclusions of free modules, which commute, so their maps on the
+    quotient commute.
     """
     if not pm.row_degrees:
-        return FiniteModule({}, {}, {})
+        return FiniteModule._trusted({}, {}, {})
     degrees = pm.row_degrees + pm.col_degrees
     lo = (min(a for a, _ in pm.row_degrees),
           min(b for _, b in pm.row_degrees))
@@ -349,7 +376,7 @@ def coker_presentation(pm):
             if (corner, target) not in maps:
                 maps[corner, target] = _cell_map(cells[corner], cells[target])
             store[alpha] = maps[corner, target]
-    return FiniteModule(dims, mult_x, mult_y)
+    return FiniteModule._trusted(dims, mult_x, mult_y)
 
 
 def _cell_map(source, target):
@@ -481,6 +508,12 @@ def dual_module(mod):
     dual has dims'(alpha) = dims(c - alpha) and multiplication maps the
     transposes of the originals; Betti tables transform by
     beta'_{i, alpha} = beta_{2 - i, c + (1,1) - alpha}.
+
+    The dual is built unchecked from a module that already holds the
+    constructor's form: its dims are the original's, reflected; a map
+    is stored only where the original has both pieces, as the
+    transpose of a Fraction matrix, so of the reversed shape; and
+    transposes of commuting maps commute.
     """
     c = mod.hull()[1]
     dims = {(c[0] - a, c[1] - b): d for (a, b), d in mod.dims.items()}
@@ -490,7 +523,7 @@ def dual_module(mod):
             src = (c[0] - alpha[0] - step[0], c[1] - alpha[1] - step[1])
             if mod.dim(src) and mod.dim(_shift(src, step)):
                 mult[step][alpha] = transpose(read(src))
-    return FiniteModule(dims, mult[_X], mult[_Y])
+    return FiniteModule._trusted(dims, mult[_X], mult[_Y])
 
 
 def presentation_to_json_obj(pm):

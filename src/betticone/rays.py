@@ -7,28 +7,35 @@ the staircase region I minus J, and its table has support in the box
 [0, B1) x [0, B2).  The candidates are those regions, generated by a
 column walk that reads the table off column by column by counting
 corners, plus a small catalogue of presentation seeds that no monomial
-quotient reaches, whose tables come from the Koszul oracle.  Every
-candidate table goes through the valency certificate of the bigraded
-layer, K-polynomial test included, and certified tables are
-deduplicated up to positive scalar.
+quotient reaches, whose tables come from the Koszul oracle.  The seed
+tables go through the valency certificate of the bigraded layer,
+K-polynomial test included; the walk yields only regions whose tables
+pass it, and certified tables are deduplicated up to positive scalar.
 
-The walk prunes by two necessary conditions of that certificate, so
-it never cuts a region whose table certifies:
+The walk cuts a branch by three necessary conditions of that
+certificate, so it never cuts a region whose table certifies:
 - table column a depends only on region columns a - 1 and a, so it is
   final once region column a is placed; a final column whose vertex
   count is not 0 or 2 (x-valency other than 1), or that holds a vertex
   in two homological degrees, fails in every completion;
 - rows only gain vertices as columns are placed, so a row that would
   reach a third vertex (y-valency 2 or more) fails in every
-  completion.
-The cuts keep 468 of the 1145 regions of box (4,4).
+  completion;
+- each table column of two vertices joins their two rows, so the rows
+  form paths and cycles; a cycle is closed for good (its rows and
+  columns are full), so a vertex placed after it leaves the graph
+  disconnected.
+A region is yielded once a cycle has closed.  A staircase region has
+finite length, so its table passes the K-polynomial test, which needs
+the signed counts of each row to cancel: no row holds a single
+single-degree vertex, so every row holds two and the graph is that
+one cycle.  The walk keeps 439 of the 1145 regions of box (4,4),
+exactly those whose tables certify.
 
 The tests keep two independent routes: the unpruned walk over every
 staircase region, and every pair of generator antichains in the box
 with its quotient module through the Koszul oracle.
 """
-
-import itertools
 
 from .bigraded import (BigradedBettiTable, check_extremality_certificate,
                        integral_bidegree)
@@ -79,18 +86,21 @@ def _table_column(a, prev, col):
 def staircase_betti(columns):
     """Betti table of a region module given as a tuple of columns,
     each None or an interval (l, u): one more table column than
-    region columns, each read off by _table_column."""
+    region columns, each read off by _table_column, whose keys are
+    (i, (a, b)) with i in {0, 1, 2} and whose counts are nonzero
+    ints, positive because they are Betti numbers of the region
+    module (the Koszul oracle agrees on every region of box (4,4))."""
     entries = {}
     prev = None
     for a, col in enumerate(columns + (None,)):
         entries.update(_table_column(a, prev, col))
         prev = col
-    return BigradedBettiTable(entries)
+    return BigradedBettiTable._trusted(entries)
 
 
 def pruned_regions(bound_a, bound_b):
     """Staircase regions inside [0, bound_a) x [0, bound_b) whose tables
-    may pass the valency certificate, as (columns, table) pairs.
+    pass the extremality certificate, as (columns, table) pairs.
 
     A region is a set S = I minus J for monomial ideals J inside I,
     that is, an order-convex set of exponent pairs, given as a tuple
@@ -104,52 +114,69 @@ def pruned_regions(bound_a, bound_b):
     once, lazily, in a fixed order.
 
     Table column a is read off as soon as region column a is placed,
-    and the branch is cut by the two rules in the module docstring.
+    and the branch is cut by the rules in the module docstring; ends[b]
+    is the other end of the path that ends at row b (one vertex), or b
+    itself (no vertex).  Each table is built unchecked, being
+    staircase_betti's table of the same columns.
     """
     columns = []
     parts = []
     rows = [0] * (bound_b + 1)
+    ends = list(range(bound_b + 1))
 
-    def place(a, prev, col):
-        """Table column a and its vertices' degrees, or None to cut."""
+    def place(a, prev, col, closed):
+        """Table column a, the rows of its two vertices (or none), and
+        whether the cycle has closed after it; None to cut."""
         part = _table_column(a, prev, col)
         degree = {}
         for i, (_, b) in part:
             if degree.setdefault(b, i) != i:
                 return None
-        if len(degree) not in (0, 2) or any(rows[b] == 2 for b in degree):
+        if not degree:
+            return part, (), closed
+        if len(degree) != 2 or closed:
             return None
-        return part, degree
+        u, v = degree
+        if rows[u] == 2 or rows[v] == 2:
+            return None
+        return part, (u, v), ends[u] == v
 
-    def walk(a, p, q, prev):
+    def walk(a, p, q, prev, closed):
         if a == bound_a:
-            last = any(columns) and place(a, prev, None)
-            if last:
+            last = place(a, prev, None, closed)
+            if last and last[2]:
                 entries = {}
                 for part in parts + [last[0]]:
                     entries.update(part)
-                yield tuple(columns), BigradedBettiTable(entries)
+                yield tuple(columns), BigradedBettiTable._trusted(entries)
             return
         choices = [(None, p, p)]
         choices += [((low, high), low, high)
                     for low in range(min(p, bound_b - 1) + 1)
                     for high in range(low + 1, q + 1)]
         for col, p_next, q_next in choices:
-            placed = place(a, prev, col)
+            placed = place(a, prev, col, closed)
             if placed is None:
                 continue
-            part, degree = placed
-            for b in degree:
-                rows[b] += 1
+            part, joined, closed_next = placed
+            if joined:
+                u, v = joined
+                eu, ev = ends[u], ends[v]
+                saved = ends[eu], ends[ev]
+                ends[eu], ends[ev] = ev, eu
+                rows[u] += 1
+                rows[v] += 1
             columns.append(col)
             parts.append(part)
-            yield from walk(a + 1, p_next, q_next, col)
+            yield from walk(a + 1, p_next, q_next, col, closed_next)
             parts.pop()
             columns.pop()
-            for b in degree:
-                rows[b] -= 1
+            if joined:
+                rows[u] -= 1
+                rows[v] -= 1
+                ends[eu], ends[ev] = saved
 
-    yield from walk(0, bound_b, bound_b, None)
+    yield from walk(0, bound_b, bound_b, None, False)
 
 
 def seed_catalogue():
@@ -181,10 +208,12 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     catalogue.  Certified tables are returned gcd-normalized, one per
     scalar class, sorted by their canonical keys.
 
-    Only the seed tables are checked against the box.  A region the
-    walk yields is nonempty, its table lies in [0, B1] x [0, B2], and
-    its module has finite length, so a NotFiniteLength raised by the
-    certificate on it is a bug and surfaces.
+    Only the seed tables are checked against the box and go through
+    the certificate.  A region the walk yields is nonempty, its table
+    lies in [0, B1] x [0, B2], and it is certified by construction, so
+    its canonical key goes straight into the set.  Each key is a
+    table's entries divided by their gcd, in the table's normal form,
+    so the listed rays are built from the keys unchecked.
     """
     b1, b2 = integral_bidegree(bound, "box")
     if max_box < 0:
@@ -197,14 +226,13 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     if b1 < 0 or b2 < 0:
         raise ValueError("box corners must be nonnegative")
 
-    seeds = []
+    found = {table.canonical_key() for _, table in pruned_regions(b1, b2)}
     for _, seed in seed_catalogue():
         module = coker_presentation(seed)
-        seeds += [bigraded_betti(module), bigraded_betti(dual_module(module))]
-    candidates = itertools.chain(
-        (table for _, table in pruned_regions(b1, b2)),
-        (table for table in seeds
-         if all(0 <= a <= b1 and 0 <= b <= b2 for a, b in table.support())))
-    found = {table.canonical_key() for table in candidates
-             if check_extremality_certificate(table).is_extremal()}
-    return [BigradedBettiTable(dict(k)) for k in sorted(found)]
+        for table in (bigraded_betti(module),
+                      bigraded_betti(dual_module(module))):
+            if all(0 <= a <= b1 and 0 <= b <= b2
+                   for a, b in table.support()) \
+                    and check_extremality_certificate(table).is_extremal():
+                found.add(table.canonical_key())
+    return [BigradedBettiTable._trusted(dict(k)) for k in sorted(found)]

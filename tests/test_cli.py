@@ -483,6 +483,43 @@ def test_package_runs_as_a_module():
     assert proc.stderr == ""
 
 
+def test_one_process_runs_a_sequence_like_fresh_processes(tmp_path,
+                                                          monkeypatch):
+    """run reuses one parser; a sequence of subcommands in one process,
+    usage errors in between, prints what each prints alone."""
+    monkeypatch.setenv("COLUMNS", "80")
+    table = _write(tmp_path, "square.json",
+                   bigraded.bigraded_to_json_obj(bigraded_betti(
+                       monomial_quotient(SQUARE_MODULE_PAIR))))
+    sequence = [
+        ["hk", "0,1,3,5"],
+        ["hk"],
+        ["bigraded", "rays", "--box", "2,2", "--json"],
+        ["bigraded", "rays", "--box", "2,2", "--max-box", "x"],
+        ["local", "check", "1,-1"],
+        ["bigraded", "check", table, "--json"],
+        ["resolve", str(tmp_path / "missing.json")],
+        ["nonsense", "--json"],
+        ["es-plan", "0,2,3"],
+        ["bigraded", "--help"],
+        ["version"],
+    ]
+    together = []
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        together.append((code, out.getvalue(), err.getvalue()))
+    alone = []
+    for argv in sequence:
+        proc = subprocess.run([sys.executable, "-m", "betticone", *argv],
+                              capture_output=True, text=True)
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    assert together == alone
+    assert [code for code, _, _ in together] == [0, 2, 0, 2, 1, 0, 1, 2,
+                                                  0, 0, 0]
+
+
 # --json writer: json.dumps(obj, indent=2) is the reference route and
 # stays in the tests only.
 

@@ -4,7 +4,8 @@ Intra-package imports must form an acyclic graph and must sit at module
 level: an import inside a function hides a dependency from the reader
 and is the usual way a cycle gets papered over.  No module reads the
 process environment: every setting is an argument or a command line
-option.  No module calls json's indenting encoder.
+option.  No module calls json's indenting encoder.  Only the package
+calls the trusted constructors that skip input checks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import betticone
 PACKAGE = Path(betticone.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(PACKAGE.glob("*.py"))}
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _targets(node):
@@ -109,4 +111,20 @@ def test_no_module_calls_the_indent_encoder():
              for name, tree in MODULES.items() for node in ast.walk(tree)
              if isinstance(node, ast.Call)
              and any(kw.arg == "indent" for kw in node.keywords)]
+    assert not found, found
+
+
+def test_only_the_package_calls_the_trusted_constructors():
+    """_trusted skips every input check, so its callers must argue the
+    invariants; tests and the benchmark go through the public
+    constructors."""
+    outside = [path for path in sorted(REPO.rglob("*.py"))
+               if path.relative_to(REPO).parts[0] not in ("src", "build")
+               and not any(part.startswith(".")
+                           for part in path.relative_to(REPO).parts)]
+    assert Path(__file__).resolve() in outside
+    found = [f"{path.relative_to(REPO)} line {node.lineno}"
+             for path in outside
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "_trusted"]
     assert not found, found

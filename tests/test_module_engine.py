@@ -11,6 +11,7 @@ and on randomized regions.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from betticone import (
     kernel_generator_degrees,
     module_from_json_obj,
     monomial_quotient,
+    seed_catalogue,
 )
 from betticone import module_engine
 from betticone._linalg import column_space_pivot_rows, rank, rref
@@ -1000,3 +1002,49 @@ def test_constructors_refuse_non_integral_degrees():
     assert PresentationMatrix(rows=[(0.0, 0)], cols=[(2.0, 0)],
                               entries=[[[(1, (2.0, 0))]]]).col_degrees == \
         ((2, 0),)
+
+
+def _rebuilt_publicly(module):
+    """The public constructor accepts a module a trusted producer built,
+    and rebuilds the very same pieces and maps, types and order
+    included (a module has no equality of its own)."""
+    rebuilt = FiniteModule(module.dims, module.mult_x, module.mult_y)
+    assert repr((rebuilt.dims, rebuilt.mult_x, rebuilt.mult_y)) == \
+        repr((module.dims, module.mult_x, module.mult_y))
+
+
+def _antichains_below(n):
+    """Every nonempty antichain of exponent pairs in [0, n)^2."""
+    return [tuple(zip(cols, sorted(rows, reverse=True)))
+            for r in range(1, n + 1)
+            for cols in itertools.combinations(range(n), r)
+            for rows in itertools.combinations(range(n), r)]
+
+
+def test_trusted_quotients_pass_the_public_constructor():
+    antichains = _antichains_below(5)
+    finite = 0
+    for outer in antichains:
+        for inner in antichains:
+            if not all(module_engine._divisible(g, outer) for g in inner):
+                continue
+            try:
+                module = monomial_quotient(MonomialPair(outer, inner))
+            except NotFiniteLength:
+                continue
+            finite += 1
+            _rebuilt_publicly(module)
+            _rebuilt_publicly(dual_module(module))
+    assert finite == 3323
+
+
+def test_trusted_cokernels_and_duals_pass_the_public_constructor():
+    rng = random.Random(20121209)
+    inputs = [PACMAN] + [pm for _, pm in seed_catalogue()]
+    inputs += [_random_presentation(rng) for _ in range(200)]
+    for pm in inputs:
+        module = coker_presentation(pm)
+        _rebuilt_publicly(module)
+        _rebuilt_publicly(dual_module(module))
+    empty = PresentationMatrix(rows=[], cols=[], entries=[])
+    _rebuilt_publicly(coker_presentation(empty))
