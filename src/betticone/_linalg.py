@@ -1,23 +1,17 @@
-"""Exact linear algebra over the rationals: row reduction and rank.
+"""Exact linear algebra on int rows: row reduction and rank.
 
-Matrices are lists of row lists of rationals (int or Fraction).  Each
-row is scaled once by the lcm of its denominators, and the reduction
-then runs fraction-free in int: a row is only ever replaced by an
-integer combination of itself and the pivot row, divided by the gcd of
-its entries.  Scaling a row by a nonzero number changes neither the
-rank nor the reduced row echelon form, and the rref is unique, so it
-comes out exactly as a Gauss-Jordan over Fraction would give it, each
-entry built once as Fraction(x, pivot).  Everything here is dense and
-small: the oracle only ever sees a handful of basis elements per
-bidegree, so a straightforward elimination beats any clever sparse
-structure.
+Matrices are lists of row lists of ints.  A caller holding rationals
+clears them once, where they enter, with integer_rows: scaling a row
+by a nonzero number changes neither the rank nor the row space, so it
+changes neither the pivot columns nor the reduced row echelon form.
+The reduction is fraction-free: a row is only ever replaced by an
+integer combination of itself and the pivot row, divided by the gcd
+of its entries.  Everything here is dense and small: the oracle only
+ever sees a handful of basis elements per bidegree, so a
+straightforward elimination beats any clever sparse structure.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def transpose(m):
@@ -54,7 +48,8 @@ def _eliminate(rows, c, r, start):
 
 def _echelon(rows, full):
     """Pivot columns of the int rows, reduced in place; rows above a
-    pivot are cleared too when full is set."""
+    pivot are cleared too when full is set.  Rows are replaced, never
+    changed, so a shallow copy keeps the caller's rows intact."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -73,33 +68,17 @@ def _echelon(rows, full):
     return pivots
 
 
-def rref(m):
-    """Row-reduce a copy of m; returns (reduced rows, pivot column list)."""
-    rows = integer_rows(m)
-    pivots = _echelon(rows, full=True)
-    reduced = []
-    for r, row in enumerate(rows):
-        if r < len(pivots):
-            p = row[pivots[r]]
-            row = [Fraction(x, p) if x else ZERO for x in row]
-        else:
-            row = [ZERO] * len(row)
-        reduced.append(row)
-    return reduced, pivots
+def rref(rows):
+    """Fully reduce a copy of the int rows; returns (pivot rows, pivot
+    columns).
 
-
-def rank(m):
-    return len(_echelon(integer_rows(m), full=False))
-
-
-def column_space_pivot_rows(m):
-    """Coordinates (row indices) spanned by the columns of m.
-
-    Row-reduces the transpose; the pivot columns of that reduction are
-    the coordinates in which a column-space basis leads.  Used to pick
-    deterministic coset representatives: the complement of these
-    coordinates projects to a basis of the cokernel.
+    Pivot row k is zero at every pivot column but pivots[k]; divided
+    by its entry there, it is row k of the reduced row echelon form.
     """
-    reduced, pivots = rref(transpose(m))
-    basis = [reduced[i] for i in range(len(pivots))]
-    return basis, pivots
+    rows = list(rows)
+    pivots = _echelon(rows, full=True)
+    return rows[:len(pivots)], pivots
+
+
+def rank(rows):
+    return len(_echelon(list(rows), full=False))

@@ -8,26 +8,35 @@ rational matrices.  Betti numbers then come out of the Koszul complex
     M(-1,-1) --(y, -x)--> M(-1,0) + M(0,-1) --(x  y)--> M
 
 restricted to a single bidegree, so no Groebner machinery is needed.
-Everything runs over the rationals (Fraction entries, reduced in
-integers by _linalg after clearing denominators); the ranks involved
-are the same for any field of characteristic zero.
+Module maps hold Fraction entries; _linalg reduces int rows only, so
+rationals are cleared here, once per matrix that is reduced: the
+scalar grid's rows for the generic rank, its columns for the scans
+of a presentation, and each Koszul block as a whole.  The ranks
+involved are the same for any field of characteristic zero.
 """
 
 from fractions import Fraction
 
-from ._linalg import (ONE, ZERO, column_space_pivot_rows, integer_rows, rank,
-                      transpose)
+from ._linalg import integer_rows, rank, rref, transpose
 from .bigraded import (BigradedBettiTable, integral, integral_bidegree,
                        json_bidegree, json_bidegrees, json_list,
                        json_rational)
 from .errors import InternalInconsistency, NotContained, NotFiniteLength
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
 _X = (1, 0)
 _Y = (0, 1)
 
 
 def _shift(alpha, step):
     return (alpha[0] + step[0], alpha[1] + step[1])
+
+
+def _below(degrees, alpha):
+    """Indices of the degrees that are <= alpha coordinatewise."""
+    return [k for k, d in enumerate(degrees)
+            if d[0] <= alpha[0] and d[1] <= alpha[1]]
 
 
 def _compose(a, b, ncols):
@@ -148,7 +157,7 @@ class MonomialPair:
         self.gens_outer = _minimal_gens(gens_outer, "outer ideal")
         self.gens_inner = _minimal_gens(gens_inner, "inner ideal")
         for g in self.gens_inner:
-            if not _divisible(g, self.gens_outer):
+            if not _below(self.gens_outer, g):
                 raise NotContained(
                     f"inner generator {g} is not a multiple of any outer "
                     "generator")
@@ -165,15 +174,7 @@ def _minimal_gens(gens, label):
     for a, b in pts:
         if a < 0 or b < 0:
             raise ValueError(f"{label} has a negative exponent ({a}, {b})")
-    keep = []
-    for p in pts:
-        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts):
-            keep.append(p)
-    return tuple(keep)
-
-
-def _divisible(point, gens):
-    return any(g[0] <= point[0] and g[1] <= point[1] for g in gens)
+    return tuple(p for p in pts if len(_below(pts, p)) == 1)
 
 
 def monomial_quotient(pair):
@@ -274,13 +275,7 @@ def generic_rank(pm):
     matrices of the monomials m^row_r and m^col_c.  Both diagonals are
     invertible over k(x, y), hence the rank is the rank of S.
     """
-    return rank(pm.scalars)
-
-
-def _below(degrees, alpha):
-    """Indices of the degrees that are <= alpha coordinatewise."""
-    return [k for k, d in enumerate(degrees)
-            if d[0] <= alpha[0] and d[1] <= alpha[1]]
+    return rank(integer_rows(pm.scalars))
 
 
 def _integer_columns(pm):
@@ -299,12 +294,14 @@ def coker_presentation(pm):
     In each bidegree the free pieces are spanned by one monomial per
     surviving row or column, the matrix of the map is just the scalar
     grid restricted to those indices, and the cokernel basis is the set
-    of rows missed by the column space pivots.  The x and y maps are
-    read off the rref basis of the target's column space: each basis
-    row is 1 at its own pivot row and 0 at the other pivot rows, so a
-    free row is its own cokernel basis vector, and a pivot row r is,
-    modulo the column space, minus the basis row led by r read on the
-    free rows.
+    of rows missed by the column space pivots.  Each block is reduced
+    as its int columns (_integer_columns) restricted to the surviving
+    rows, so rref's pivot columns are pivot rows of the block, and its
+    pivot vectors are kept unnormalised: the one led by row r is
+    nonzero at r and zero at the other pivot rows.  So a free row is
+    its own cokernel basis vector, and a pivot row r is, modulo the
+    column space, minus that vector over its entry at r, read on the
+    free rows.  The x and y maps are read off the target's vectors.
 
     The degrees fix the scan box.  Let lo be the coordinatewise minimum
     of the row degrees and D the coordinatewise maximum of all row and
@@ -328,11 +325,10 @@ def coker_presentation(pm):
 
     The module is built unchecked: every piece has its cell's free
     rows as basis, so its dimension is a positive int at an int
-    bidegree; a map is stored only between two pieces, as a Fraction
-    matrix (the rref basis is Fraction) of shape target free rows by
-    source free rows; and both multiplications are induced by the
-    inclusions of free modules, which commute, so their maps on the
-    quotient commute.
+    bidegree; a map is stored only between two pieces, as a matrix of
+    Fraction entries of shape target free rows by source free rows; and
+    both multiplications are induced by the inclusions of free modules,
+    which commute, so their maps on the quotient commute.
     """
     if not pm.row_degrees:
         return FiniteModule._trusted({}, {}, {})
@@ -350,8 +346,8 @@ def coker_presentation(pm):
             corner = (a0, b0)
             rows = _below(pm.row_degrees, corner)
             cols = _below(pm.col_degrees, corner)
-            basis, pivots = column_space_pivot_rows(
-                [[columns[c][r] for c in cols] for r in rows])
+            basis, pivots = rref([[columns[c][r] for r in rows]
+                                  for c in cols])
             lead = dict(zip(pivots, basis))
             free = [k for k in range(len(rows)) if k not in lead]
             if not free:
@@ -389,7 +385,8 @@ def _cell_map(source, target):
     for rid_local in free:
         k = pos[rows[rid_local]]
         if k in t_lead:
-            columns.append([-t_lead[k][f] for f in t_free])
+            vector = t_lead[k]
+            columns.append([Fraction(-vector[f], vector[k]) for f in t_free])
         else:
             columns.append([ONE if f == k else ZERO for f in t_free])
     return [list(row) for row in zip(*columns)]
@@ -404,7 +401,9 @@ def bigraded_betti(mod):
     dimensions of its homology, which elementary rank counting turns
     into the formulas below.  Only the support shifted by (0,0), (1,0),
     (0,1) or (1,1) meets a nonzero piece, and negating the x rows of
-    the first map keeps its rank.
+    the first map keeps its rank.  Each block is cleared of rationals
+    as a whole: the second one only after x and y are joined row by
+    row, since each row must be scaled by one factor.
     """
     entries = {}
     for alpha in sorted({(a + da, b + db) for a, b in mod.dims
@@ -419,11 +418,11 @@ def bigraded_betti(mod):
         d_here = mod.dim(alpha)
         r2 = 0
         if d_corner and (d_left or d_below):
-            r2 = rank(mod.map_y(corner) + mod.map_x(corner))
+            r2 = rank(integer_rows(mod.map_y(corner) + mod.map_x(corner)))
         r1 = 0
         if d_here and (d_left or d_below):
-            r1 = rank([x + y for x, y in zip(mod.map_x(left),
-                                             mod.map_y(below))])
+            r1 = rank(integer_rows([x + y for x, y in zip(mod.map_x(left),
+                                                          mod.map_y(below))]))
         b2 = d_corner - r2
         b1 = d_left + d_below - r1 - r2
         b0 = d_here - r1

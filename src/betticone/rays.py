@@ -38,7 +38,7 @@ with its quotient module through the Koszul oracle.
 """
 
 from .bigraded import (BigradedBettiTable, check_extremality_certificate,
-                       integral_bidegree)
+                       integral, integral_bidegree)
 from .errors import BoundTooLarge
 from .module_engine import (PresentationMatrix, bigraded_betti,
                             coker_presentation, dual_module)
@@ -216,6 +216,7 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     so the listed rays are built from the keys unchecked.
     """
     b1, b2 = integral_bidegree(bound, "box")
+    max_box = integral(max_box, "max_box")
     if max_box < 0:
         raise ValueError(
             f"max_box must be a nonnegative integer, got {max_box}")

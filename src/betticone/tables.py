@@ -35,12 +35,9 @@ class DegreeSequence:
     __slots__ = ("degrees",)
 
     def __init__(self, degrees):
-        degs = tuple(degrees)
+        degs = tuple([integral(d, "degree") for d in degrees])
         if not degs:
             raise NonIncreasingDegrees("degree sequence must be nonempty")
-        for d in degs:
-            if not isinstance(d, int):
-                raise NonIncreasingDegrees("degrees must be integers")
         if any(a >= b for a, b in zip(degs, degs[1:])):
             raise NonIncreasingDegrees("degrees must be strictly increasing")
         self.degrees = degs
@@ -161,12 +158,11 @@ class PureTable:
 
     def __init__(self, degrees, multiplicities):
         self.degrees = as_degree_sequence(degrees)
-        mult = tuple(multiplicities)
+        mult = tuple([integral(b, "multiplicity") for b in multiplicities])
         if len(mult) != len(self.degrees):
             raise ValueError("one multiplicity per degree required")
-        for b in mult:
-            if not isinstance(b, int) or b <= 0:
-                raise ValueError("multiplicities must be positive integers")
+        if min(mult) <= 0:
+            raise ValueError("multiplicities must be positive integers")
         self.multiplicities = mult
 
     def to_graded(self, nvars=None):

@@ -124,6 +124,7 @@ def test_non_integral_bidegrees_and_boxes_are_refused():
 INTEGER_FIELDS = {
     "count": lambda v: BigradedBettiTable({(0, (0, 0)): v}),
     "box": lambda v: enumerate_box_rays((v, 2)),
+    "max_box": lambda v: enumerate_box_rays((2, 2), max_box=v),
     "nvars": lambda v: GradedBettiTable(v, {}),
 }
 
@@ -131,7 +132,7 @@ INTEGER_FIELDS = {
 @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
 @pytest.mark.parametrize("value, shown", [
     (None, "None"), (float("inf"), "inf"), (float("nan"), "nan"),
-    ("a", "'a'"), ("2", "'2'")])
+    ("a", "'a'"), ("2", "'2'"), (2.5, "2.5")])
 def test_integer_fields_name_the_field_for_any_bad_value(field, value,
                                                          shown):
     message = f"{field} must be an integer, got {shown}"

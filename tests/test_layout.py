@@ -4,8 +4,9 @@ Intra-package imports must form an acyclic graph and must sit at module
 level: an import inside a function hides a dependency from the reader
 and is the usual way a cycle gets papered over.  No module reads the
 process environment: every setting is an argument or a command line
-option.  No module calls json's indenting encoder.  Only the package
-calls the trusted constructors that skip input checks.
+option.  No module calls json's indenting encoder.  The linear algebra
+kernel imports nothing from fractions.  Only the package calls the
+trusted constructors that skip input checks.
 """
 
 from __future__ import annotations
@@ -111,6 +112,16 @@ def test_no_module_calls_the_indent_encoder():
              for name, tree in MODULES.items() for node in ast.walk(tree)
              if isinstance(node, ast.Call)
              and any(kw.arg == "indent" for kw in node.keywords)]
+    assert not found, found
+
+
+def test_linalg_works_on_int_rows_only():
+    """_linalg reduces int rows; rationals are cleared where they enter,
+    in module_engine, so the kernel never imports fractions."""
+    found = [node.lineno for node in ast.walk(MODULES["_linalg"])
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and "fractions" in {getattr(node, "module", None),
+                                 *(alias.name for alias in node.names)}]
     assert not found, found
 
 

@@ -182,13 +182,32 @@ def test_hilbert_numerator_clears_denominators():
     (collapse_step, ((0, 1, 2), 1, 0.5), "k .* got 0.5"),
     (is_finite_length_numerator, (HilbertNumerator({0: 1, 1: -1}), 1.5),
      "nvars .* got 1.5"),
+    (DegreeSequence, ([0, 2.5],), "degree .* got 2.5"),
+    (DegreeSequence, ([0, "a"],), "degree .* got 'a'"),
+    (PureTable, ([0, 1.5], [1, 1]), "degree .* got 1.5"),
+    (PureTable, ([0, 1], [1, 1.5]), "multiplicity .* got 1.5"),
 ], ids=["graded-nvars", "graded-i", "graded-j", "kpoly-a", "kpoly-b",
         "line-bundle-m", "line-bundle-e", "collapse-m", "collapse-k",
-        "numerator-nvars"])
+        "numerator-nvars", "degrees-half", "degrees-string", "pure-degree",
+        "pure-multiplicity"])
 def test_integer_fields_refuse_non_integral_values(build, args, message):
     """Non-integral integer fields are refused, never truncated."""
     with pytest.raises(ValueError, match=message):
         build(*args)
+
+
+def test_degrees_and_multiplicities_read_integral_values_as_ints():
+    """2.0 reads as 2 and True as 1, as in every other constructor."""
+    degrees = DegreeSequence([True, 2.0, Fraction(6, 2)])
+    assert degrees.degrees == (1, 2, 3)
+    assert all(type(d) is int for d in degrees)
+    table = PureTable([0, 1.0], [2.0, Fraction(3)])
+    assert table == PureTable([0, 1], [2, 3])
+    assert all(type(b) is int for b in table.multiplicities)
+    with pytest.raises(NonIncreasingDegrees):
+        DegreeSequence([0, 2.0, 2])
+    with pytest.raises(ValueError, match="positive"):
+        PureTable([0, 1], [1, 0])
 
 
 def test_is_finite_length_numerator_negative_case():
