@@ -15,8 +15,7 @@ from math import gcd, lcm
 
 
 def transpose(m):
-    if not m:
-        return []
+    """Columns of m as rows; zip of no rows is already []."""
     return [list(col) for col in zip(*m)]
 
 

@@ -204,13 +204,17 @@ def matching_graph(t):
                           for alpha in weights})
 
 
+def signed_fold(entries):
+    """key -> sum_i (-1)^i c_{i,key} over entries (i, key) -> c."""
+    folded = {}
+    for (i, key), c in entries.items():
+        folded[key] = folded.get(key, 0) + (-c if i % 2 else c)
+    return folded
+
+
 def k_polynomial(t):
     """K(s1, s2) = sum_i sum_alpha (-1)^i beta_{i,alpha} s^alpha."""
-    coeffs = {}
-    for (i, alpha), count in t.entries.items():
-        term = -count if i % 2 else count
-        coeffs[alpha] = coeffs.get(alpha, 0) + term
-    return KPolynomial(coeffs)
+    return KPolynomial(signed_fold(t.entries))
 
 
 def finite_length_check(k):
@@ -291,10 +295,10 @@ def graph_to_dot(graph):
         weight, _ = graph.vertices[alpha]
         name = f"\"{alpha[0]},{alpha[1]}\""
         lines.append(f"  {name} [label=\"({alpha[0]},{alpha[1]}):{weight}\"];")
-    for u, w in sorted(graph.x_edges):
+    for u, w in graph.x_edges:
         lines.append(f"  \"{u[0]},{u[1]}\" -- \"{w[0]},{w[1]}\""
                      " [style=solid];")
-    for u, w in sorted(graph.y_edges):
+    for u, w in graph.y_edges:
         lines.append(f"  \"{u[0]},{u[1]}\" -- \"{w[0]},{w[1]}\""
                      " [style=dashed];")
     lines.append("}")
@@ -334,7 +338,11 @@ def integral(value, field):
 
 def integral_bidegree(alpha, field="bidegree"):
     """alpha as a pair of ints, each coordinate checked by integral."""
-    a, b = alpha
+    try:
+        a, b = alpha
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{field} must be a pair of integers, got {alpha!r}") from None
     return (integral(a, field), integral(b, field))
 
 

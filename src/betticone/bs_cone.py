@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NotInConeCandidate
-from .tables import (DegreeSequence, GradedBettiTable, check_hk_equations,
+from .tables import (DegreeSequence, GradedBettiTable, _hk_holds,
                      clear_denominators, hk_pure_table)
 
 
@@ -81,16 +81,15 @@ def decompose_graded(t):
     input fails a precondition or the greedy chain gets stuck with a
     nonzero residual.
 
-    The greedy runs on integer numerators over one common scale: the
-    entries are cleared once, and a step whose coefficient has a new
-    denominator multiplies the numerators and the scale by it.
+    The HK test and the greedy run on integer numerators over one
+    common scale: the entries are cleared once, and a step whose
+    coefficient has a new denominator multiplies them and the scale.
     """
-    if not check_hk_equations(t):
+    work, scale = clear_denominators(t.entries)
+    if not _hk_holds(work, t.nvars):
         raise NotInConeCandidate(
             "table fails the Herzog-Kuhl equations; not a finite length "
             "candidate", Decomposition([], t))
-
-    work, scale = clear_denominators(t.entries)
 
     def stuck(msg, parts):
         residual = GradedBettiTable(

@@ -17,7 +17,8 @@ import sys
 from . import __version__
 from .bigraded import (bigraded_from_json_obj, bigraded_to_json_obj,
                        check_extremality_certificate, count_up_to_swap,
-                       graph_to_dot, json_int, json_rational)
+                       graph_to_dot, integral_bidegree, json_int,
+                       json_rational)
 from .bs_cone import decompose_graded
 from .errors import BetticoneError, NotInConeCandidate
 from .es_construct import es_plan, es_ranks, render_plan_text, twist_table
@@ -33,10 +34,7 @@ def _ints(text, field):
     return [json_int(part, field) for part in text.split(",")]
 
 def _box(text):
-    box = _ints(text, "--box")
-    if len(box) != 2:
-        raise ValueError("--box takes two comma-separated integers")
-    return (box[0], box[1])
+    return integral_bidegree(_ints(text, "--box"), "--box")
 
 def _fractions(text):
     return [json_rational(part, "vector") for part in text.split(",")]
@@ -154,12 +152,11 @@ def _print_decomposition(dec, as_json):
 
 
 def cmd_decompose(args):
+    """decompose_graded attaches a Decomposition at both raise sites."""
     table = graded_from_json_obj(_load_json(args.table))
     try:
         dec = decompose_graded(table)
     except NotInConeCandidate as exc:
-        if exc.decomposition is None:
-            raise
         _print_decomposition(exc.decomposition, args.json)
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -400,13 +397,10 @@ def run(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except BetticoneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except KeyError as exc:
         print(f"error: missing key {exc} in input file", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (BetticoneError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

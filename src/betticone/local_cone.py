@@ -17,7 +17,7 @@ builds the pure-table witnesses that converge to each ray.
 from fractions import Fraction
 
 from .bigraded import integral
-from .errors import DegenerateSequence, NonIncreasingDegrees, NotOnHyperplane
+from .errors import DegenerateSequence, NotOnHyperplane
 from .tables import DegreeSequence, hk_pure_table
 
 INSIDE = "Inside"
@@ -159,7 +159,8 @@ def local_from_graded(t):
 
 
 def limit_degrees(i, j, n):
-    """The sequence d with d_k = k*j for k <= i, (k-1)*j + 1 for k > i."""
+    """The sequence d_k = k*j (k <= i), (k-1)*j + 1 (k > i); with j >= 2
+    it rises by j in each part and by 1 from i*j, so it is increasing."""
     i = integral(i, "ray index")
     j = integral(j, "gap parameter")
     n = integral(n, "dimension")
@@ -167,11 +168,8 @@ def limit_degrees(i, j, n):
         raise ValueError(f"ray index {i} outside 0..{n - 1}")
     if j < 2:
         raise DegenerateSequence("limit sequences need j >= 2")
-    degs = [k * j if k <= i else (k - 1) * j + 1 for k in range(n + 1)]
-    try:
-        return DegreeSequence(degs)
-    except NonIncreasingDegrees as exc:
-        raise DegenerateSequence(str(exc)) from exc
+    return DegreeSequence(
+        [k * j if k <= i else (k - 1) * j + 1 for k in range(n + 1)])
 
 
 def limit_table(i, j, n):

@@ -389,7 +389,7 @@ def _cell_map(source, target):
             columns.append([Fraction(-vector[f], vector[k]) for f in t_free])
         else:
             columns.append([ONE if f == k else ZERO for f in t_free])
-    return [list(row) for row in zip(*columns)]
+    return transpose(columns)
 
 
 def bigraded_betti(mod):
@@ -458,7 +458,7 @@ def kernel_generator_degrees(pm):
     [lo, C], and the counts over [lo, C] telescope to h(C), the columns
     minus the rank of the whole scalar grid, which is the generic rank.
     The completeness check below can thus only fail on an internal
-    error.
+    error.  With no columns, generic rank 0 means none is expected.
 
     The same argument inside [lo, C]: h only changes where a crosses a
     column a-coordinate or b a column b-coordinate.  So h is computed on
@@ -469,10 +469,7 @@ def kernel_generator_degrees(pm):
     surviving rows, h is their number minus the rank of those whole
     columns.
     """
-    ncols = len(pm.col_degrees)
-    if ncols == 0:
-        return []
-    expected = ncols - generic_rank(pm)
+    expected = len(pm.col_degrees) - generic_rank(pm)
     if expected == 0:
         return []
     a_grid = sorted({a for a, _ in pm.col_degrees})
@@ -504,25 +501,23 @@ def dual_module(mod):
     """The graded dual, reflected so it is again nonnegatively graded.
 
     Writing c for the coordinatewise top corner of the support, the
-    dual has dims'(alpha) = dims(c - alpha) and multiplication maps the
-    transposes of the originals; Betti tables transform by
+    dual has dims'(alpha) = dims(c - alpha), and the map of the
+    original from src to src + step, transposed, is the dual's from
+    c - src - step; a map the original does not store is zero, and so
+    stays absent.  Betti tables transform by
     beta'_{i, alpha} = beta_{2 - i, c + (1,1) - alpha}.
 
-    The dual is built unchecked from a module that already holds the
-    constructor's form: its dims are the original's, reflected; a map
-    is stored only where the original has both pieces, as the
-    transpose of a Fraction matrix, so of the reversed shape; and
-    transposes of commuting maps commute.
+    The dual is built unchecked: reflected dims, and stored maps
+    between nonzero pieces transposed to the reversed shape, which
+    commute as the originals do.
     """
-    c = mod.hull()[1]
-    dims = {(c[0] - a, c[1] - b): d for (a, b), d in mod.dims.items()}
-    mult = {_X: {}, _Y: {}}
-    for alpha in dims:
-        for step, read in ((_X, mod.map_x), (_Y, mod.map_y)):
-            src = (c[0] - alpha[0] - step[0], c[1] - alpha[1] - step[1])
-            if mod.dim(src) and mod.dim(_shift(src, step)):
-                mult[step][alpha] = transpose(read(src))
-    return FiniteModule._trusted(dims, mult[_X], mult[_Y])
+    ca, cb = mod.hull()[1]
+    dims = {(ca - a, cb - b): d for (a, b), d in mod.dims.items()}
+    mult_x = {(ca - a - 1, cb - b): transpose(m)
+              for (a, b), m in mod.mult_x.items()}
+    mult_y = {(ca - a, cb - b - 1): transpose(m)
+              for (a, b), m in mod.mult_y.items()}
+    return FiniteModule._trusted(dims, mult_x, mult_y)
 
 
 def presentation_to_json_obj(pm):

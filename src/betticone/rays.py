@@ -16,8 +16,8 @@ The walk cuts a branch by three necessary conditions of that
 certificate, so it never cuts a region whose table certifies:
 - table column a depends only on region columns a - 1 and a, so it is
   final once region column a is placed; a final column whose vertex
-  count is not 0 or 2 (x-valency other than 1), or that holds a vertex
-  in two homological degrees, fails in every completion;
+  count is not 0 or 2 (x-valency other than 1) fails in every
+  completion (none mixes homological degrees, see _table_column);
 - rows only gain vertices as columns are placed, so a row that would
   reach a third vertex (y-valency 2 or more) fails in every
   completion;
@@ -27,10 +27,9 @@ certificate, so it never cuts a region whose table certifies:
   disconnected.
 A region is yielded once a cycle has closed.  A staircase region has
 finite length, so its table passes the K-polynomial test, which needs
-the signed counts of each row to cancel: no row holds a single
-single-degree vertex, so every row holds two and the graph is that
-one cycle.  The walk keeps 439 of the 1145 regions of box (4,4),
-exactly those whose tables certify.
+the signed counts of each row to cancel: no row holds a single vertex,
+so every row holds two and the graph is that one cycle.  The walk
+keeps exactly the certified regions (439 of 1145 at box (4,4)).
 
 The tests keep two independent routes: the unpruned walk over every
 staircase region, and every pair of generator antichains in the box
@@ -60,6 +59,13 @@ def _table_column(a, prev, col):
     beta_0 - beta_1 + beta_2 = here - left - below + corner, whose
     right side, as a function of b, is +1 at l and -1 at u for the
     column a and the reverse for the column a - 1.
+
+    No vertex mixes degrees; write [l', u') for column a - 1.  beta_1
+    at l needs l' = l, against beta_0's (a - 1, l) outside, or a -1 at
+    u' = l, which needs (a, l - 1) in column a.  beta_1 at u' needs
+    u = u', against beta_2's (a, u' - 1) outside, or a -1 at l = u',
+    which needs (a - 1, u') in column a - 1.  beta_0 and beta_2 at
+    l = u' would leave (a - 1, l) out between (a - 1, l - 1) and (a, l).
     """
     entries = {}
     ones = {}
@@ -128,15 +134,14 @@ def pruned_regions(bound_a, bound_b):
         """Table column a, the rows of its two vertices (or none), and
         whether the cycle has closed after it; None to cut."""
         part = _table_column(a, prev, col)
-        degree = {}
-        for i, (_, b) in part:
-            if degree.setdefault(b, i) != i:
-                return None
-        if not degree:
+        rows_hit = {}
+        for _, (_, b) in part:
+            rows_hit[b] = None
+        if not rows_hit:
             return part, (), closed
-        if len(degree) != 2 or closed:
+        if len(rows_hit) != 2 or closed:
             return None
-        u, v = degree
+        u, v = rows_hit
         if rows[u] == 2 or rows[v] == 2:
             return None
         return part, (u, v), ends[u] == v

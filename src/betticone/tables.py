@@ -25,7 +25,7 @@ of degree differences.  Entries and results stay exact Fractions.
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .bigraded import integral, json_int, json_list, json_rational
+from .bigraded import integral, json_int, json_list, json_rational, signed_fold
 from .errors import NonIncreasingDegrees
 
 
@@ -270,19 +270,12 @@ def clear_denominators(entries):
             for key, b in entries.items()}, m
 
 
-def _folded(numerators):
-    """j -> sum_i (-1)^i c_{i,j} over integer numerators c."""
-    folded = {}
-    for (i, j), c in numerators.items():
-        folded[j] = folded.get(j, 0) + (-c if i % 2 else c)
-    return folded
-
-
 def hk_pure_table(d):
     """Minimal positive integral solution of the Herzog-Kuhl system.
 
-    With P_i = prod_{l != i} |d_i - d_l| the solution is proportional to
-    1 / P_i, so the multiplicities are lcm(P) / P_i divided by their gcd.
+    With P_i = prod_{l != i} |d_i - d_l| (1 for one degree) the solution
+    is proportional to 1 / P_i, so the multiplicities are lcm(P) / P_i,
+    coprime: the P_i richest in a prime leaves a quotient prime to it.
 
     >>> hk_pure_table([0, 1, 3, 5]).multiplicities
     (8, 15, 10, 3)
@@ -290,29 +283,25 @@ def hk_pure_table(d):
     (1, 2, 1)
     """
     d = as_degree_sequence(d)
-    if len(d) == 1:
-        return PureTable(d, (1,))
     degs = d.degrees
     products = [abs(prod([di - dl for dl in degs if dl != di]))
                 for di in degs]
     m = lcm(*products)
-    ints = [m // p for p in products]
-    g = gcd(*ints)
-    return PureTable(d, tuple(v // g for v in ints))
+    return PureTable(d, tuple(m // p for p in products))
 
 
 def check_hk_equations(t):
-    """True iff sum_{i,j} (-1)^i j^k beta_{i,j} = 0 for 0 <= k < nvars.
+    """True iff sum_{i,j} (-1)^i j^k beta_{i,j} = 0 for 0 <= k < nvars."""
+    return _hk_holds(clear_denominators(t.entries)[0], t.nvars)
 
-    The equations are tested on the signed numerators c_j folded by
-    internal degree, stepping c_j <- c_j * j from one power of j to the
-    next.  Moments that are all 0 stay 0, so the loop stops there
-    instead of running nvars times.
-    """
-    folded = _folded(clear_denominators(t.entries)[0])
+
+def _hk_holds(numerators, nvars):
+    """check_hk_equations on integer numerators, folded by degree into
+    c_j: step c_j <- c_j * j to the next power, stopping when all are 0."""
+    folded = signed_fold(numerators)
     degrees = list(folded)
     moments = list(folded.values())
-    for _ in range(t.nvars):
+    for _ in range(nvars):
         if sum(moments):
             return False
         if not any(moments):
@@ -328,7 +317,7 @@ def hilbert_numerator(t):
     are folded; the clearing factor is kept on the result as .scale.
     """
     numerators, m = clear_denominators(t.entries)
-    return HilbertNumerator(_folded(numerators), m)
+    return HilbertNumerator(signed_fold(numerators), m)
 
 
 def is_finite_length_numerator(h, nvars):
@@ -339,8 +328,11 @@ def is_finite_length_numerator(h, nvars):
     is exact precisely when p(1) = 0.  Negative degrees are fine; t^m
     is a unit and does not affect divisibility by 1-t.
     """
+    nvars = integral(nvars, "nvars")
+    if nvars < 0:
+        raise ValueError("nvars must be nonnegative")
     coeffs = dict(h.coefficients)
-    for _ in range(integral(nvars, "nvars")):
+    for _ in range(nvars):
         if not coeffs:
             return True
         if sum(coeffs.values()) != 0:

@@ -140,6 +140,21 @@ def test_integer_fields_name_the_field_for_any_bad_value(field, value,
         INTEGER_FIELDS[field](value)
 
 
+@pytest.mark.parametrize("field, build, shown", [
+    ("bidegree", lambda: BigradedBettiTable({(0, 5): 1}), "5"),
+    ("box", lambda: enumerate_box_rays(5), "5"),
+    ("box", lambda: enumerate_box_rays((1, 2, 3)), "(1, 2, 3)"),
+    ("bidegree", lambda: FiniteModule({5: 1}, {}, {}), "5"),
+    ("outer ideal exponent", lambda: MonomialPair([5], [(1, 1)]), "5"),
+], ids=["table", "box", "box-triple", "module", "monomial-pair"])
+def test_malformed_bidegrees_are_refused_by_name(field, build, shown):
+    """Anything that is not a pair is a ValueError naming the field,
+    not a TypeError from unpacking it."""
+    message = f"{field} must be a pair of integers, got {shown}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 def _reference_graph(vertices):
     """Edges by scanning every pair of sorted vertices, valency by
     counting vertices per coordinate, and components by a union-find
@@ -566,6 +581,15 @@ def test_region_counts_per_box():
     assert [sum(1 for _ in staircase_regions(b, b))
             for b in range(2, 6)] == [12, 113, 1145, 12577]
     assert sum(1 for _ in staircase_regions(5, 3)) == 780
+
+
+def test_no_region_table_mixes_homological_degrees_up_to_box_five():
+    """The walk cuts by rows alone, because no table column of a
+    staircase region holds a vertex in two homological degrees."""
+    for columns in staircase_regions(5, 5):
+        graph = matching_graph(staircase_betti(columns))
+        assert all(len(support) == 1
+                   for _, support in graph.vertices.values()), columns
 
 
 def test_enumerate_box_five_count():

@@ -33,6 +33,14 @@ from betticone import (
 )
 
 
+def test_membership_reads_a_plain_list_as_a_betti_vector():
+    verdict = is_in_local_cone([1, 2, 1])
+    assert verdict.verdict == INSIDE
+    assert verdict.partial_sums == (1, 1)
+    assert repr(verdict) == repr(is_in_local_cone(LocalBettiVector([1, 2,
+                                                                    1])))
+
+
 def test_ray_vectors_two_consecutive_ones():
     assert tuple(ray_vector(0, 2)) == (1, 1, 0)
     assert tuple(ray_vector(1, 2)) == (0, 1, 1)

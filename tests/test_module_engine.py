@@ -688,6 +688,13 @@ def test_kernel_degrees_of_zero_map_are_column_degrees():
     assert kernel_generator_degrees(zero) == [((0, 1), 1), ((1, 0), 1)]
 
 
+def test_kernel_degrees_without_columns():
+    for rows in ([], [(0, 0)], [(0, 0), (2, 1)]):
+        pm = PresentationMatrix(rows=rows, cols=[],
+                                entries=[[] for _ in rows])
+        assert kernel_generator_degrees(pm) == []
+
+
 def test_second_syzygies_match_kernel_scan():
     """The oracle's top Betti degrees are the kernel generators.
 
@@ -727,6 +734,30 @@ def test_dual_module_is_an_involution_on_tables():
     t = bigraded_betti(m)
     tdd = bigraded_betti(dual_module(dual_module(m)))
     assert t == tdd
+
+
+def test_double_dual_is_the_module():
+    """For a module whose support starts at (0,0) the dual of the dual
+    has the same pieces and the same stored maps; a zero map the
+    module leaves out stays out."""
+    rng = random.Random(20121209)
+    modules = [monomial_quotient(p) for p in (SQUARE, AXES_MOD,
+                                              WIDE_STAIRCASE)]
+    modules += [coker_presentation(pm) for pm in [PACMAN, HEART]
+                + [_random_presentation(rng) for _ in range(100)]]
+    gap = FiniteModule({(0, 0): 1, (1, 0): 1, (1, 1): 2},
+                       {(0, 0): [[0]]}, {(1, 0): [[1], [2]]})
+    omitted = FiniteModule({(0, 0): 1, (1, 0): 1}, {}, {})
+    modules += [gap, omitted]
+    checked = 0
+    for m in modules:
+        if m.hull()[0] != (0, 0):
+            continue
+        twice = dual_module(dual_module(m))
+        assert (twice.dims, twice.mult_x, twice.mult_y) == \
+            (m.dims, m.mult_x, m.mult_y)
+        checked += 1
+    assert checked >= 20
 
 
 def test_dual_of_heart_table():

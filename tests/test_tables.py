@@ -217,6 +217,11 @@ def test_is_finite_length_numerator_negative_case():
     assert not is_finite_length_numerator(h, 2)
 
 
+def test_finite_length_numerator_refuses_negative_nvars():
+    with pytest.raises(ValueError, match="nvars must be nonnegative"):
+        is_finite_length_numerator(HilbertNumerator({0: 1}), -1)
+
+
 def test_finite_length_numerator_zero_is_divisible():
     assert is_finite_length_numerator(HilbertNumerator({}), 4)
 
