@@ -30,15 +30,15 @@ class BigradedBettiTable:
         clean = {}
         for (i, alpha), count in dict(entries).items():
             count = integral(count, "count")
-            if count == 0:
-                continue
             if count < 0:
                 raise ValueError(f"negative count at ({i}, {alpha})")
             i = integral(i, "homological degree")
             if i not in (0, 1, 2):
                 raise ValueError(
                     f"homological degree {i} impossible over two variables")
-            clean[(i, integral_bidegree(alpha))] = count
+            alpha = integral_bidegree(alpha)
+            if count:
+                clean[(i, alpha)] = count
         self.entries = clean
 
     @classmethod
@@ -107,11 +107,9 @@ class KPolynomial:
         self.coefficients = {}
         for alpha, c in dict(coefficients).items():
             c = integral(c, "coefficient")
+            alpha = integral_bidegree(alpha, "exponent")
             if c:
-                self.coefficients[integral_bidegree(alpha, "exponent")] = c
-
-    def is_zero(self):
-        return not self.coefficients
+                self.coefficients[alpha] = c
 
     def substitute_one(self, axis):
         """K with the other variable set to 1, as a map from the

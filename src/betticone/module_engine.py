@@ -52,7 +52,9 @@ class FiniteModule:
     pieces are dropped).  mult_x[alpha] is the matrix of multiplication
     by x from the piece at alpha to the piece at alpha + (1,0), columns
     indexed by the source; missing entries mean the zero map.  The
-    constructor checks shapes and that the two multiplications commute.
+    constructor checks every shape, [] into a zero piece included, and
+    that the two multiplications commute; it stores a map only between
+    nonzero pieces.
     """
 
     __slots__ = ("dims", "mult_x", "mult_y")
@@ -63,8 +65,9 @@ class FiniteModule:
             d = integral(d, "dimension")
             if d < 0:
                 raise ValueError(f"negative dimension at {alpha}")
+            alpha = integral_bidegree(alpha)
             if d:
-                self.dims[integral_bidegree(alpha)] = d
+                self.dims[alpha] = d
         self.mult_x = self._check_maps(mult_x, _X, "x")
         self.mult_y = self._check_maps(mult_y, _Y, "y")
         self._check_commuting()
@@ -87,14 +90,17 @@ class FiniteModule:
             alpha = integral_bidegree(alpha)
             src = self.dim(alpha)
             dst = self.dim(_shift(alpha, step))
-            if src == 0 or dst == 0:
-                continue
-            matrix = [[v if type(v) is Fraction else Fraction(v) for v in row]
-                      for row in matrix]
-            if len(matrix) != dst or any(len(r) != src for r in matrix):
+            try:
+                shaped = len(matrix) == dst and all(len(r) == src
+                                                    for r in matrix)
+            except TypeError:
+                shaped = False
+            if not shaped:
                 raise ValueError(
                     f"mult_{name} at {alpha} must be {dst} x {src}")
-            clean[alpha] = matrix
+            if src and dst:
+                clean[alpha] = [[v if type(v) is Fraction else Fraction(v)
+                                 for v in row] for row in matrix]
         return clean
 
     def _check_commuting(self):
@@ -130,9 +136,6 @@ class FiniteModule:
 
     def total_dim(self):
         return sum(self.dims.values())
-
-    def support(self):
-        return sorted(self.dims)
 
     def hull(self):
         """Smallest box ((alo, blo), (ahi, bhi)) containing the support."""

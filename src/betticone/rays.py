@@ -29,7 +29,8 @@ A region is yielded once a cycle has closed.  A staircase region has
 finite length, so its table passes the K-polynomial test, which needs
 the signed counts of each row to cancel: no row holds a single vertex,
 so every row holds two and the graph is that one cycle.  The walk
-keeps exactly the certified regions (439 of 1145 at box (4,4)).
+keeps exactly the certified regions (439 of 1145 at box (4,4)); its
+state is one hashable frontier, and _step its one transition.
 
 The tests keep two independent routes: the unpruned walk over every
 staircase region, and every pair of generator antichains in the box
@@ -104,6 +105,41 @@ def staircase_betti(columns):
     return BigradedBettiTable._trusted(entries)
 
 
+def _step(a, prev, col, ends):
+    """Region column col placed after prev: (part, ends_next) with
+    part table column a, or None to cut by the module docstring's rules.
+
+    ends[b] is b while row b has no vertex, the other end of b's path
+    while it has one, and None once it has two; ends is None once the
+    cycle has closed.  Joining rows u and v closes the cycle if v ends
+    u's path.  Closing forgets any other open path: no staircase
+    region has a row with one vertex, so every completion of such a
+    branch places a vertex after closure and is cut.  The walk's
+    frontier (a, p, q, prev, ends) is complete: the columns that may
+    follow and their verdicts depend on nothing else, so equal
+    frontiers have equal futures.
+    """
+    part = _table_column(a, prev, col)
+    if not part:
+        return part, ends
+    rows = {b for _, (_, b) in part}
+    if len(rows) != 2 or ends is None:
+        return None
+    u, v = rows
+    eu, ev = ends[u], ends[v]
+    if eu is None or ev is None:
+        return None
+    if eu == v:
+        return part, None
+    ends_next = list(ends)
+    ends_next[eu], ends_next[ev] = ev, eu
+    if eu != u:
+        ends_next[u] = None
+    if ev != v:
+        ends_next[v] = None
+    return part, tuple(ends_next)
+
+
 def pruned_regions(bound_a, bound_b):
     """Staircase regions inside [0, bound_a) x [0, bound_b) whose tables
     pass the extremality certificate, as (columns, table) pairs.
@@ -119,69 +155,33 @@ def pruned_regions(bound_a, bound_b):
     in V below S) and u <= q (V is closed upward).  Each region comes
     once, lazily, in a fixed order.
 
-    Table column a is read off as soon as region column a is placed,
-    and the branch is cut by the rules in the module docstring; ends[b]
-    is the other end of the path that ends at row b (one vertex), or b
-    itself (no vertex).  Each table is built unchecked, being
+    Each column goes through _step, and the walk recurses on what it
+    returns, undoing nothing; a region is yielded when the last step
+    closes the cycle.  Each table is built unchecked, being
     staircase_betti's table of the same columns.
     """
-    columns = []
-    parts = []
-    rows = [0] * (bound_b + 1)
-    ends = list(range(bound_b + 1))
-
-    def place(a, prev, col, closed):
-        """Table column a, the rows of its two vertices (or none), and
-        whether the cycle has closed after it; None to cut."""
-        part = _table_column(a, prev, col)
-        rows_hit = {}
-        for _, (_, b) in part:
-            rows_hit[b] = None
-        if not rows_hit:
-            return part, (), closed
-        if len(rows_hit) != 2 or closed:
-            return None
-        u, v = rows_hit
-        if rows[u] == 2 or rows[v] == 2:
-            return None
-        return part, (u, v), ends[u] == v
-
-    def walk(a, p, q, prev, closed):
+    def walk(a, p, q, columns, parts, ends):
+        prev = columns[-1] if columns else None
         if a == bound_a:
-            last = place(a, prev, None, closed)
-            if last and last[2]:
+            last = _step(a, prev, None, ends)
+            if last is not None and last[1] is None:
                 entries = {}
-                for part in parts + [last[0]]:
+                for part in parts + (last[0],):
                     entries.update(part)
-                yield tuple(columns), BigradedBettiTable._trusted(entries)
+                yield columns, BigradedBettiTable._trusted(entries)
             return
         choices = [(None, p, p)]
         choices += [((low, high), low, high)
                     for low in range(min(p, bound_b - 1) + 1)
                     for high in range(low + 1, q + 1)]
         for col, p_next, q_next in choices:
-            placed = place(a, prev, col, closed)
-            if placed is None:
-                continue
-            part, joined, closed_next = placed
-            if joined:
-                u, v = joined
-                eu, ev = ends[u], ends[v]
-                saved = ends[eu], ends[ev]
-                ends[eu], ends[ev] = ev, eu
-                rows[u] += 1
-                rows[v] += 1
-            columns.append(col)
-            parts.append(part)
-            yield from walk(a + 1, p_next, q_next, col, closed_next)
-            parts.pop()
-            columns.pop()
-            if joined:
-                rows[u] -= 1
-                rows[v] -= 1
-                ends[eu], ends[ev] = saved
+            step = _step(a, prev, col, ends)
+            if step is not None:
+                part, ends_next = step
+                yield from walk(a + 1, p_next, q_next, columns + (col,),
+                                parts + (part,), ends_next)
 
-    yield from walk(0, bound_b, bound_b, None, False)
+    yield from walk(0, bound_b, bound_b, (), (), tuple(range(bound_b + 1)))
 
 
 def seed_catalogue():

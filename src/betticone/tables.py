@@ -93,8 +93,6 @@ class GradedBettiTable:
         for (i, j), b in dict(entries).items():
             if type(b) is not Fraction:  # a Fraction is kept, not copied
                 b = Fraction(b)
-            if b == 0:
-                continue
             if b < 0:
                 raise ValueError(f"negative Betti entry at ({i},{j})")
             i = integral(i, "homological degree")
@@ -102,7 +100,8 @@ class GradedBettiTable:
             if not 0 <= i <= nvars:
                 raise ValueError(
                     f"homological degree {i} outside 0..{nvars}")
-            clean[(i, j)] = b
+            if b:
+                clean[(i, j)] = b
         self.nvars = nvars
         self.entries = clean
 
@@ -218,14 +217,6 @@ class HilbertNumerator:
     def coefficient(self, j):
         """Exact rational coefficient of t^j."""
         return Fraction(self.coefficients.get(j, 0), self.scale)
-
-    def add(self, other):
-        m = lcm(self.scale, other.scale)
-        a, b = m // self.scale, m // other.scale
-        merged = {j: a * c for j, c in self.coefficients.items()}
-        for j, c in other.coefficients.items():
-            merged[j] = merged.get(j, 0) + b * c
-        return HilbertNumerator(merged, m)
 
     def __eq__(self, other):
         if isinstance(other, HilbertNumerator):

@@ -12,6 +12,8 @@ leave out regions whose tables fail the certificate.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -46,7 +48,7 @@ from betticone.bigraded import (
     bigraded_from_json_obj,
     bigraded_to_json_obj,
 )
-from betticone.rays import pruned_regions, staircase_betti
+from betticone.rays import _step, pruned_regions, staircase_betti
 
 KOSZUL_ENTRIES = {
     (0, (0, 0)): 1,
@@ -656,6 +658,74 @@ def test_pruned_walk_keeps_every_certified_region_up_to_box_five():
               for b1 in range(6) for b2 in range(6)}
     assert [counts[(b, b)] for b in range(2, 6)] == [11, 73, 439, 2696]
     assert counts[(5, 3)] == 325
+
+
+def _count_regions(bound_a, bound_b):
+    """How many regions pruned_regions yields, by a count memoized on
+    the walk's frontier (a, p, q, prev, ends) through _step alone.  It
+    agrees with the walk only if the frontier is complete: equal
+    frontiers must have equal futures."""
+    @functools.cache
+    def count(a, p, q, prev, ends):
+        if a == bound_a:
+            last = _step(a, prev, None, ends)
+            return int(last is not None and last[1] is None)
+        choices = [(None, p, p)] + [((low, high), low, high)
+                                    for low in range(min(p, bound_b - 1) + 1)
+                                    for high in range(low + 1, q + 1)]
+        total = 0
+        for col, p_next, q_next in choices:
+            step = _step(a, prev, col, ends)
+            if step is not None:
+                total += count(a + 1, p_next, q_next, col, step[1])
+        return total
+
+    return count(0, bound_b, bound_b, None, tuple(range(bound_b + 1)))
+
+
+def test_memoized_frontier_count_matches_the_walk():
+    for b1 in range(6):
+        for b2 in range(6):
+            assert _count_regions(b1, b2) == \
+                sum(1 for _ in pruned_regions(b1, b2)), (b1, b2)
+    assert _count_regions(6, 6) == 17380
+
+
+def test_step_cuts_joins_and_closes():
+    free = tuple(range(4))
+    # An empty interval puts two degrees on one vertex: one row.
+    assert _step(0, None, (2, 2), free) is None
+    # Columns (0, 1) then (1, 2) put vertices on rows 0, 1 and 2.
+    assert _step(1, (0, 1), (1, 2), free) is None
+    # Rows 0 and 1 become the two ends of one path.
+    part, ends = _step(0, None, (0, 1), free)
+    assert part == {(0, (0, 0)): 1, (1, (0, 1)): 1}
+    assert ends == (1, 0, 2, 3)
+    # Joining rows 1 and 2 links the paths 0-1 and 2-3 into 0-3.
+    assert _step(0, None, (1, 2), (1, 0, 3, 2))[1] == (3, None, None, 0)
+    # Row 0 is full, so no vertex may go on it.
+    assert _step(0, None, (0, 1), (None, 2, 1, 3)) is None
+    # Joining the two ends of one path closes the cycle.
+    assert _step(0, None, (0, 1), (1, 0, 2, 3))[1] is None
+    # After closure any vertex is cut, and an empty column passes.
+    assert _step(0, None, (0, 1), None) is None
+    assert _step(2, None, None, None) == ({}, None)
+
+
+# SHA-256 of repr(list(pruned_regions(*box))), taken from the walk that
+# kept its rows and path ends in arrays it undid after each branch.
+PINNED_WALKS = {
+    (4, 4): "deda618c047e9714712bf666d01a30a253fe776c"
+            "9046e9ac856fe857205ad910",
+    (5, 3): "0c6565bf7c5435d70b0c64e5fff44059be1afb01"
+            "19ce03c1f5511ec5a03d99d5",
+}
+
+
+@pytest.mark.parametrize("box", sorted(PINNED_WALKS))
+def test_pruned_walk_yields_the_pinned_sequence(box):
+    listing = repr(list(pruned_regions(*box))).encode()
+    assert hashlib.sha256(listing).hexdigest() == PINNED_WALKS[box]
 
 
 @pytest.mark.slow

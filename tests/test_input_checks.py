@@ -12,11 +12,13 @@ import re
 import pytest
 
 from betticone import (
+    BigradedBettiTable,
     Decomposition,
     DegreeSequence,
     FiniteModule,
     GradedBettiTable,
     HilbertNumerator,
+    KPolynomial,
     MonomialPair,
     NonIncreasingDegrees,
     PresentationMatrix,
@@ -92,4 +94,25 @@ CHECKS = {
 def test_each_input_check_raises_its_message(case):
     error, call, message = CHECKS[case]
     with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+ZERO_VALUED = {
+    "bigraded-table": (lambda: BigradedBettiTable({(9, "x"): 0}),
+                       "homological degree 9 impossible over two variables"),
+    "graded-table": (lambda: GradedBettiTable(2, {("a", None): 0}),
+                     "homological degree must be an integer, got 'a'"),
+    "module-dims": (lambda: FiniteModule({"junk": 0}, {}, {}),
+                    "bidegree must be a pair of integers, got 'junk'"),
+    "k-polynomial": (lambda: KPolynomial({"zz": 0}),
+                     "exponent must be an integer, got 'z'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_VALUED))
+def test_zero_values_do_not_skip_the_key_checks(case):
+    """A zero value is dropped only after its key passes the checks,
+    as HilbertNumerator({"q": 0}) already refuses its key."""
+    call, message = ZERO_VALUED[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()

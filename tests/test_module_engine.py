@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,22 @@ def test_finite_module_rejects_bad_shapes():
     dims = {(0, 0): 2, (1, 0): 1}
     with pytest.raises(ValueError):
         FiniteModule(dims, {(0, 0): [[1]]}, {})
+
+
+@pytest.mark.parametrize("mult_x, mult_y, message", [
+    ({(0, 0): [[5, 7], [1, 2]]}, {}, "mult_x at (0, 0) must be 0 x 1"),
+    ({}, {(0, 0): "junk"}, "mult_y at (0, 0) must be 0 x 1"),
+    ({(3, 3): None}, {}, "mult_x at (3, 3) must be 0 x 0"),
+    ({(-1, 0): []}, {}, "mult_x at (-1, 0) must be 1 x 0"),
+], ids=["into-zero", "junk-into-zero", "zero-to-zero", "out-of-zero"])
+def test_finite_module_checks_maps_at_zero_pieces(mult_x, mult_y, message):
+    """A map into or out of a zero piece is shape-checked like any
+    other, and a well-shaped one is accepted but not stored."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FiniteModule({(0, 0): 1}, mult_x, mult_y)
+    m = FiniteModule({(0, 0): 1}, {(0, 0): [], (-1, 0): [[]]},
+                     {(0, 0): [], (5, 5): []})
+    assert m.mult_x == m.mult_y == {}
 
 
 def test_finite_module_refuses_non_integral_dimensions():
