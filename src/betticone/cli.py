@@ -16,16 +16,15 @@ import sys
 
 from . import __version__
 from .bigraded import (bigraded_from_json_obj, bigraded_to_json_obj,
-                       check_extremality_certificate, count_up_to_swap,
-                       graph_to_dot, integral_bidegree, json_int,
-                       json_rational)
+                       check_extremality_certificate, graph_to_dot,
+                       integral_bidegree, json_int, json_rational)
 from .bs_cone import decompose_graded
 from .errors import BetticoneError, NotInConeCandidate
 from .es_construct import es_plan, es_ranks, render_plan_text, twist_table
 from .local_cone import (LocalBettiVector, is_in_local_cone, limit_degrees,
                          limit_table, local_ray_coefficients)
 from .module_engine import bigraded_betti, module_from_json_obj
-from .rays import DEFAULT_MAX_BOX, enumerate_box_rays
+from .rays import DEFAULT_MAX_BOX, count_swap_classes, enumerate_box_rays
 from .tables import (graded_from_json_obj, graded_to_json_obj,
                      hk_pure_table, pure_to_json_obj)
 
@@ -69,21 +68,36 @@ def _json_text(obj, pad):
     recognised by isinstance, as json does, and built by one join each;
     every other value goes through json's C one-line encoder, which
     writes scalars (NaN and the infinities included) as json.dumps
-    does and raises TypeError on anything it cannot encode."""
+    does and raises TypeError on anything it cannot encode.
+
+    A dict met again at the same indentation is written once: its text
+    is kept for the rest of the call under (id, pad).  Every object of
+    the tree stays alive until the call returns, so no id is reused for
+    another object while the texts are kept.  Lists are written each
+    time, so the text of a list already joined into its parent's is not
+    kept as well."""
+    return _text(obj, pad, {})
+
+
+def _text(obj, pad, texts):
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        inner = pad + "  "
-        return "{" + inner + ("," + inner).join([
-            (_str_json(k) if k.__class__ is str else _key_json(k)) + ": "
-            + (_int_json(v) if v.__class__ is int else _json_text(v, inner))
-            for k, v in obj.items()]) + pad + "}"
+        done = texts.get((id(obj), pad))
+        if done is None:
+            inner = pad + "  "
+            done = texts[id(obj), pad] = "{" + inner + ("," + inner).join([
+                (_str_json(k) if k.__class__ is str else _key_json(k)) + ": "
+                + (_int_json(v) if v.__class__ is int
+                   else _text(v, inner, texts))
+                for k, v in obj.items()]) + pad + "}"
+        return done
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
         return "[" + inner + ("," + inner).join([
-            _int_json(v) if v.__class__ is int else _json_text(v, inner)
+            _int_json(v) if v.__class__ is int else _text(v, inner, texts)
             for v in obj]) + pad + "]"
     if obj.__class__ is str:
         return _str_json(obj)
@@ -255,13 +269,21 @@ def cmd_bigraded_rays(args):
         raise ValueError(
             f"--max-box must be a nonnegative integer, got {args.max_box}")
     rays = enumerate_box_rays(box, max_box=args.max_box)
-    swap_count = count_up_to_swap(rays)
+    swap_count = count_swap_classes(rays)
     if args.json:
+        # bigraded_to_json_obj's form, with one object per distinct
+        # entry, which _json_text then writes once; each ray lists its
+        # entries sorted already.
+        shared = {((i, (a, b)), c): {"i": i, "deg": [a, b], "b": c}
+                  for (i, (a, b)), c in
+                  {item for t in rays for item in t.entries.items()}}
         _print_json({
             "box": box,
             "count": len(rays),
             "count_up_to_swap": swap_count,
-            "rays": [bigraded_to_json_obj(t) for t in rays],
+            "rays": [{"kind": "bigraded",
+                      "entries": [shared[item] for item in t.entries.items()]}
+                     for t in rays],
         })
     else:
         for k, t in enumerate(rays):

@@ -52,7 +52,8 @@ class FiniteModule:
     pieces are dropped).  mult_x[alpha] is the matrix of multiplication
     by x from the piece at alpha to the piece at alpha + (1,0), columns
     indexed by the source; missing entries mean the zero map.  The
-    constructor checks every shape, [] into a zero piece included, and
+    constructor checks every shape, [] into a zero piece included, with
+    the matrix and each row a list or tuple (a string is no row), and
     that the two multiplications commute; it stores a map only between
     nonzero pieces.
     """
@@ -90,12 +91,9 @@ class FiniteModule:
             alpha = integral_bidegree(alpha)
             src = self.dim(alpha)
             dst = self.dim(_shift(alpha, step))
-            try:
-                shaped = len(matrix) == dst and all(len(r) == src
-                                                    for r in matrix)
-            except TypeError:
-                shaped = False
-            if not shaped:
+            if not (isinstance(matrix, (list, tuple)) and len(matrix) == dst
+                    and all(isinstance(r, (list, tuple)) and len(r) == src
+                            for r in matrix)):
                 raise ValueError(
                     f"mult_{name} at {alpha} must be {dst} x {src}")
             if src and dst:

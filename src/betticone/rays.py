@@ -10,7 +10,8 @@ corners, plus a small catalogue of presentation seeds that no monomial
 quotient reaches, whose tables come from the Koszul oracle.  The seed
 tables go through the valency certificate of the bigraded layer,
 K-polynomial test included; the walk yields only regions whose tables
-pass it, and certified tables are deduplicated up to positive scalar.
+pass it, each a distinct ray (see enumerate_box_rays), and a certified
+seed is listed unless its ray is listed already.
 
 The walk cuts a branch by three necessary conditions of that
 certificate, so it never cuts a region whose table certifies:
@@ -211,14 +212,26 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     quotients I/J whose table support fits in [0, B1] x [0, B2], as
     pruned_regions walks them, plus the presentation seeds from the
     catalogue.  Certified tables are returned gcd-normalized, one per
-    scalar class, sorted by their canonical keys.
+    scalar class, sorted by their canonical keys, each with its
+    entries in that sorted order.
 
     Only the seed tables are checked against the box and go through
     the certificate.  A region the walk yields is nonempty, its table
-    lies in [0, B1] x [0, B2], and it is certified by construction, so
-    its canonical key goes straight into the set.  Each key is a
-    table's entries divided by their gcd, in the table's normal form,
-    so the listed rays are built from the keys unchecked.
+    lies in [0, B1] x [0, B2], and it is certified by construction.
+    Its sorted entries are its canonical key, and no two regions share
+    one, so the region keys are listed without a gcd or a dedup:
+    - Every count is 1.  By _table_column a count above 1 can only be
+      beta_1 = 2 at (a, b), with region column a = [l, b) ending where
+      column a - 1 = [b, u') starts.  Then beta_0 sits at (a, l) and
+      beta_2 at (a, u'), three rows l < b < u' in one table column,
+      which _step cuts.  So the gcd is 1.
+    - Distinct regions give distinct tables.  A table fixes its
+      K-polynomial, and the K-polynomial divided by (1 - s1)(1 - s2)
+      is the region's Hilbert series, whose coefficients are 1 on the
+      region and 0 off it.  Proportional 0/1 series are equal.
+    A seed is added only if its key is not listed yet, and the keys are
+    sorted once.  Each key is in the table's normal form, so the rays
+    are built from the keys unchecked.
     """
     b1, b2 = integral_bidegree(bound, "box")
     max_box = integral(max_box, "max_box")
@@ -232,7 +245,8 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     if b1 < 0 or b2 < 0:
         raise ValueError("box corners must be nonnegative")
 
-    found = {table.canonical_key() for _, table in pruned_regions(b1, b2)}
+    keys = [tuple(sorted(table.entries.items()))
+            for _, table in pruned_regions(b1, b2)]
     for _, seed in seed_catalogue():
         module = coker_presentation(seed)
         for table in (bigraded_betti(module),
@@ -240,5 +254,27 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
             if all(0 <= a <= b1 and 0 <= b <= b2
                    for a, b in table.support()) \
                     and check_extremality_certificate(table).is_extremal():
-                found.add(table.canonical_key())
-    return [BigradedBettiTable._trusted(dict(k)) for k in sorted(found)]
+                key = table.canonical_key()
+                if key not in keys:
+                    keys.append(key)
+    keys.sort()
+    return [BigradedBettiTable._trusted(dict(k)) for k in keys]
+
+
+def count_swap_classes(rays):
+    """Number of classes of distinct gcd-normalized rays, such as
+    enumerate_box_rays returns, after also identifying x with y.
+
+    Swapping keeps the counts, so the mirror of a listed ray is
+    gcd-normalized too, and the two share a class exactly when the
+    mirror is listed.  A ray opens a class unless it is the mirror of
+    one listed before it; bigraded.count_up_to_swap, which compares
+    canonical keys of any tables, is the reference route.
+    """
+    mirrors = set()
+    for t in rays:
+        items = t.entries.items()
+        if frozenset(items) not in mirrors:
+            mirrors.add(frozenset(((i, (b, a)), c)
+                                  for (i, (a, b)), c in items))
+    return len(mirrors)

@@ -48,7 +48,8 @@ from betticone.bigraded import (
     bigraded_from_json_obj,
     bigraded_to_json_obj,
 )
-from betticone.rays import _step, pruned_regions, staircase_betti
+from betticone.rays import (_step, count_swap_classes, pruned_regions,
+                            staircase_betti)
 
 KOSZUL_ENTRIES = {
     (0, (0, 0)): 1,
@@ -597,6 +598,67 @@ def test_no_region_table_mixes_homological_degrees_up_to_box_five():
 def test_enumerate_box_five_count():
     rays = enumerate_box_rays((5, 5))
     assert len(rays) == 2698
+
+
+def _keyed_box_rays(bound):
+    """Reference route for enumerate_box_rays' listing: the canonical
+    key (gcd and sort) of every walked region and certified seed in a
+    set, sorted, each ray rebuilt through the public constructor."""
+    b1, b2 = bound
+    found = {table.canonical_key() for _, table in pruned_regions(b1, b2)}
+    for _, seed in seed_catalogue():
+        module = coker_presentation(seed)
+        for table in (bigraded_betti(module),
+                      bigraded_betti(dual_module(module))):
+            if all(0 <= a <= b1 and 0 <= b <= b2
+                   for a, b in table.support()) \
+                    and check_extremality_certificate(table).is_extremal():
+                found.add(table.canonical_key())
+    return [BigradedBettiTable(dict(k)) for k in sorted(found)]
+
+
+def _check_listing(bound):
+    """The listing equals the keyed route, entry order included (the
+    CLI writes a ray's entries in the order it stores them), and its
+    swap classes equal count_up_to_swap's; returns the rays."""
+    rays = enumerate_box_rays(bound)
+    assert [list(t.entries.items()) for t in rays] == \
+        [list(t.entries.items()) for t in _keyed_box_rays(bound)], bound
+    assert count_swap_classes(rays) == count_up_to_swap(rays), bound
+    return rays
+
+
+def test_listing_matches_the_keyed_route_up_to_box_five():
+    for b1 in range(6):
+        for b2 in range(6):
+            _check_listing((b1, b2))
+
+
+# Regions equal to their own transpose, per square box.
+SELF_TRANSPOSE_REGIONS = {4: 51, 5: 146, 6: 412}
+
+
+@pytest.mark.parametrize("box", sorted(SELF_TRANSPOSE_REGIONS))
+def test_swap_classes_by_burnside(box):
+    """On a square box the listing is closed under swap, so its classes
+    are (rays + self-transpose rays) / 2.  The self-transpose rays are
+    those regions plus both seeds, heart and dual.  At box 6 the
+    listing is checked against the keyed route as well."""
+    rays = _check_listing((box, box)) if box == 6 \
+        else enumerate_box_rays((box, box))
+    fixed = sum(table.swap_xy() == table for table in rays)
+    assert fixed == SELF_TRANSPOSE_REGIONS[box] + 2
+    assert 2 * count_swap_classes(rays) == len(rays) + fixed
+
+
+def test_swap_classes_count_a_mirror_pair_once():
+    tables = [BigradedBettiTable({(0, (1, 0)): 1}),
+              BigradedBettiTable({(0, (0, 1)): 1}),
+              BigradedBettiTable({(0, (1, 1)): 1}),
+              BigradedBettiTable({(0, (2, 0)): 1})]
+    assert count_swap_classes(tables) == count_up_to_swap(tables) == 3
+    assert count_swap_classes(tables[::-1]) == 3
+    assert count_swap_classes(tables[1:]) == 3
 
 
 def _rebuilt_publicly(table):

@@ -555,6 +555,21 @@ def test_json_writer_matches_json_dumps(obj):
     assert cli._json_text(obj, "\n") == json.dumps(obj, indent=2)
 
 
+_SHARED = (st.lists(_TREES, min_size=1, max_size=3)
+           | st.lists(_TREES, min_size=1, max_size=3).map(tuple)
+           | st.dictionaries(_TEXT, _TREES, min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SHARED, _TREES)
+def test_json_writer_matches_json_dumps_on_shared_objects(shared, other):
+    """One container object twice at one depth and again one and two
+    levels deeper: the writer may reuse its text only at the same
+    indentation."""
+    obj = [shared, other, shared, {"in": shared, "deeper": [shared]}]
+    assert cli._json_text(obj, "\n") == json.dumps(obj, indent=2)
+
+
 @pytest.mark.parametrize("obj", [
     Fraction(1, 2),
     [1, {"a": {2, 3}}],
@@ -620,8 +635,9 @@ def test_every_json_path_prints_the_json_dumps_bytes(tmp_path, capsys,
     ("3,3", "46b45a86332971217c0f9274c29a19abb378fee45143bb1e74fa26444fce7f47"),
     ("4,4", "befdce2792c407f7329c7c2bca960bf58004011b93a585b2c9b0dae46898b7c9"),
     ("5,3", "772e483c561a4f925e3ae9179b0199133256551d9c6f827e81127cc9c57f4550"),
+    ("3,5", "1616b7b2c854a75a665fc82214162b7e4f0a99c33b4e5875da846e0fd39d11a5"),
     ("5,5", "b703f774c5285aa15bfdef6ea36d07e155fb4fa64eadb1a4274b907bee1a54bd"),
-], ids=["3,3", "4,4", "5,3", "5,5"])
+], ids=["3,3", "4,4", "5,3", "3,5", "5,5"])
 def test_rays_json_bytes_are_pinned(capsys, box, digest):
     assert run(["bigraded", "rays", "--box", box, "--json"]) == 0
     out = capsys.readouterr().out

@@ -211,6 +211,20 @@ def test_finite_module_rejects_bad_shapes():
         FiniteModule(dims, {(0, 0): [[1]]}, {})
 
 
+@pytest.mark.parametrize("mult_x, message", [
+    ({(0, 0): ["12"]}, "mult_x at (0, 0) must be 1 x 2"),
+    ({(0, 0): ("12",)}, "mult_x at (0, 0) must be 1 x 2"),
+    ({(1, 0): "1"}, "mult_x at (1, 0) must be 1 x 1"),
+    ({(2, 0): ""}, "mult_x at (2, 0) must be 0 x 1"),
+], ids=["string-row", "string-row-in-tuple", "string-matrix",
+        "empty-string-into-zero"])
+def test_finite_module_refuses_strings_as_matrices(mult_x, message):
+    """A string has a length but is no row: '12' is not [[1, 2]]."""
+    dims = {(0, 0): 2, (1, 0): 1, (2, 0): 1}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FiniteModule(dims, mult_x, {})
+
+
 @pytest.mark.parametrize("mult_x, mult_y, message", [
     ({(0, 0): [[5, 7], [1, 2]]}, {}, "mult_x at (0, 0) must be 0 x 1"),
     ({}, {(0, 0): "junk"}, "mult_y at (0, 0) must be 0 x 1"),
