@@ -111,15 +111,6 @@ class KPolynomial:
             if c:
                 self.coefficients[alpha] = c
 
-    def substitute_one(self, axis):
-        """K with the other variable set to 1, as a map from the
-        exponent on this axis to an integer: axis 0 gives K(s1, 1),
-        axis 1 gives K(1, s2)."""
-        out = {}
-        for alpha, c in self.coefficients.items():
-            out[alpha[axis]] = out.get(alpha[axis], 0) + c
-        return {e: c for e, c in out.items() if c}
-
     def __eq__(self, other):
         if isinstance(other, KPolynomial):
             return self.coefficients == other.coefficients
@@ -216,8 +207,16 @@ def k_polynomial(t):
 
 
 def finite_length_check(k):
-    """True iff K(s1, 1) and K(1, s2) are both the zero polynomial."""
-    return not k.substitute_one(0) and not k.substitute_one(1)
+    """True iff K(s1, 1) and K(1, s2) are both the zero polynomial:
+    the coefficient of s1^a in K(s1, 1) is the sum over b of those of
+    s1^a s2^b, and likewise for K(1, s2)."""
+    for axis in (0, 1):
+        sums = {}
+        for alpha, c in k.coefficients.items():
+            sums[alpha[axis]] = sums.get(alpha[axis], 0) + c
+        if any(sums.values()):
+            return False
+    return True
 
 
 class CertificateVerdict:
@@ -277,13 +276,24 @@ def check_extremality_certificate(t):
 
 
 def count_up_to_swap(tables):
-    """Number of scalar classes after also identifying x with y."""
-    seen = set()
+    """Number of scalar classes after also identifying x with y.
+
+    Each class keeps one key: the entries of its first table divided
+    by their gcd.  Mirroring is an involution that keeps the gcd, so a
+    table lies in the class of key K exactly when its key or the
+    mirror of its key is K; a table opens a class unless one of the
+    two is kept.
+    """
+    keys = set()
     for t in tables:
-        key = t.canonical_key()
-        swapped = sorted(((i, (b, a)), c) for (i, (a, b)), c in key)
-        seen.add(min(key, tuple(swapped)))
-    return len(seen)
+        items = t.entries.items()
+        g = gcd(*t.entries.values())
+        key = frozenset(items) if g == 1 \
+            else frozenset((k, c // g) for k, c in items)
+        if key not in keys and frozenset(
+                ((i, (b, a)), c) for (i, (a, b)), c in key) not in keys:
+            keys.add(key)
+    return len(keys)
 
 
 def graph_to_dot(graph):

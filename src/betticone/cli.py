@@ -16,15 +16,16 @@ import sys
 
 from . import __version__
 from .bigraded import (bigraded_from_json_obj, bigraded_to_json_obj,
-                       check_extremality_certificate, graph_to_dot,
-                       integral_bidegree, json_int, json_rational)
+                       check_extremality_certificate, count_up_to_swap,
+                       graph_to_dot, integral_bidegree, json_int,
+                       json_rational)
 from .bs_cone import decompose_graded
 from .errors import BetticoneError, NotInConeCandidate
 from .es_construct import es_plan, es_ranks, render_plan_text, twist_table
 from .local_cone import (LocalBettiVector, is_in_local_cone, limit_degrees,
                          limit_table, local_ray_coefficients)
 from .module_engine import bigraded_betti, module_from_json_obj
-from .rays import DEFAULT_MAX_BOX, count_swap_classes, enumerate_box_rays
+from .rays import DEFAULT_MAX_BOX, enumerate_box_rays
 from .tables import (graded_from_json_obj, graded_to_json_obj,
                      hk_pure_table, pure_to_json_obj)
 
@@ -243,10 +244,7 @@ def _verdict_lines(verdict):
 
 
 def _failures_json(verdict):
-    return [{"kind": kind,
-             "subject": None if subject is None else list(subject),
-             "detail": detail if not isinstance(detail, (list, tuple))
-             else list(detail)}
+    return [{"kind": kind, "subject": subject, "detail": detail}
             for kind, subject, detail in verdict.failures]
 
 
@@ -269,7 +267,7 @@ def cmd_bigraded_rays(args):
         raise ValueError(
             f"--max-box must be a nonnegative integer, got {args.max_box}")
     rays = enumerate_box_rays(box, max_box=args.max_box)
-    swap_count = count_swap_classes(rays)
+    swap_count = count_up_to_swap(rays)
     if args.json:
         # bigraded_to_json_obj's form, with one object per distinct
         # entry, which _json_text then writes once; each ray lists its

@@ -45,16 +45,14 @@ class ESPlan:
     """Degree plan: gaps, projective factors with their twists, and the
     ambient variable count d_n."""
 
-    __slots__ = ("degrees", "gaps", "factors", "ambient_vars",
-                 "ambient_dim_check")
+    __slots__ = ("degrees", "gaps", "factors", "ambient_vars")
 
     def __init__(self, degrees, gaps, factors, ambient_vars):
         self.degrees = degrees
         self.gaps = tuple(gaps)
         self.factors = tuple(factors)
         self.ambient_vars = ambient_vars
-        self.ambient_dim_check = ambient_vars - degrees.n
-        if sum(self.gaps) != self.ambient_dim_check:
+        if sum(self.gaps) != ambient_vars - degrees.n:
             raise InternalInconsistency(
                 "gap vector does not match ambient dimension")
 
@@ -81,10 +79,9 @@ class TwistRow:
 
 
 class TwistTable:
-    __slots__ = ("plan", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, plan, rows):
-        self.plan = plan
+    def __init__(self, rows):
         self.rows = tuple(rows)
 
 
@@ -124,7 +121,7 @@ def twist_table(p):
                     f"row t={t} is not a survivor yet no factor twist "
                     f"vanishes: twists={twists}")
         rows.append(TwistRow(t, -t, twists, survivor))
-    return TwistTable(p, rows)
+    return TwistTable(rows)
 
 
 def es_ranks(p):

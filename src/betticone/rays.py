@@ -259,22 +259,3 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
                     keys.append(key)
     keys.sort()
     return [BigradedBettiTable._trusted(dict(k)) for k in keys]
-
-
-def count_swap_classes(rays):
-    """Number of classes of distinct gcd-normalized rays, such as
-    enumerate_box_rays returns, after also identifying x with y.
-
-    Swapping keeps the counts, so the mirror of a listed ray is
-    gcd-normalized too, and the two share a class exactly when the
-    mirror is listed.  A ray opens a class unless it is the mirror of
-    one listed before it; bigraded.count_up_to_swap, which compares
-    canonical keys of any tables, is the reference route.
-    """
-    mirrors = set()
-    for t in rays:
-        items = t.entries.items()
-        if frozenset(items) not in mirrors:
-            mirrors.add(frozenset(((i, (b, a)), c)
-                                  for (i, (a, b)), c in items))
-    return len(mirrors)

@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betticone import (
     BigradedBettiTable,
@@ -48,8 +50,7 @@ from betticone.bigraded import (
     bigraded_from_json_obj,
     bigraded_to_json_obj,
 )
-from betticone.rays import (_step, count_swap_classes, pruned_regions,
-                            staircase_betti)
+from betticone.rays import _step, pruned_regions, staircase_betti
 
 KOSZUL_ENTRIES = {
     (0, (0, 0)): 1,
@@ -266,6 +267,7 @@ def test_k_polynomial_of_square_table():
 def test_finite_length_check_rejects_partial_vanishing():
     from betticone import KPolynomial
     assert not finite_length_check(KPolynomial({(0, 0): 1, (1, 0): -1}))
+    assert not finite_length_check(KPolynomial({(0, 0): 1, (0, 1): -1}))
     assert finite_length_check(KPolynomial({}))
 
 
@@ -353,6 +355,15 @@ def test_bigraded_json_sums_duplicates():
         ],
     }
     assert bigraded_from_json_obj(obj).entry(0, (0, 0)) == 3
+
+
+def test_bigraded_json_reads_integral_floats():
+    obj = {"kind": "bigraded",
+           "entries": [{"i": 0.0, "deg": [1.0, 0], "b": 2.0}]}
+    entries = bigraded_from_json_obj(obj).entries
+    assert entries == {(0, (1, 0)): 2}
+    [((i, (a, b)), c)] = entries.items()
+    assert all(type(n) is int for n in (i, a, b, c))
 
 
 def test_enumerate_smallest_boxes():
@@ -617,14 +628,25 @@ def _keyed_box_rays(bound):
     return [BigradedBettiTable(dict(k)) for k in sorted(found)]
 
 
+def _keyed_swap_count(tables):
+    """Reference route for count_up_to_swap: the lesser of each
+    table's canonical key and its mirror's, in a set."""
+    seen = set()
+    for t in tables:
+        key = t.canonical_key()
+        swapped = sorted(((i, (b, a)), c) for (i, (a, b)), c in key)
+        seen.add(min(key, tuple(swapped)))
+    return len(seen)
+
+
 def _check_listing(bound):
     """The listing equals the keyed route, entry order included (the
     CLI writes a ray's entries in the order it stores them), and its
-    swap classes equal count_up_to_swap's; returns the rays."""
+    swap count equals the keyed route's; returns the rays."""
     rays = enumerate_box_rays(bound)
     assert [list(t.entries.items()) for t in rays] == \
         [list(t.entries.items()) for t in _keyed_box_rays(bound)], bound
-    assert count_swap_classes(rays) == count_up_to_swap(rays), bound
+    assert count_up_to_swap(rays) == _keyed_swap_count(rays), bound
     return rays
 
 
@@ -648,7 +670,7 @@ def test_swap_classes_by_burnside(box):
         else enumerate_box_rays((box, box))
     fixed = sum(table.swap_xy() == table for table in rays)
     assert fixed == SELF_TRANSPOSE_REGIONS[box] + 2
-    assert 2 * count_swap_classes(rays) == len(rays) + fixed
+    assert 2 * count_up_to_swap(rays) == len(rays) + fixed
 
 
 def test_swap_classes_count_a_mirror_pair_once():
@@ -656,9 +678,55 @@ def test_swap_classes_count_a_mirror_pair_once():
               BigradedBettiTable({(0, (0, 1)): 1}),
               BigradedBettiTable({(0, (1, 1)): 1}),
               BigradedBettiTable({(0, (2, 0)): 1})]
-    assert count_swap_classes(tables) == count_up_to_swap(tables) == 3
-    assert count_swap_classes(tables[::-1]) == 3
-    assert count_swap_classes(tables[1:]) == 3
+    assert count_up_to_swap(tables) == _keyed_swap_count(tables) == 3
+    assert count_up_to_swap(tables[::-1]) == 3
+    assert count_up_to_swap(tables[1:]) == 3
+
+
+def _scaled(table, k):
+    return BigradedBettiTable({key: k * c for key, c in table.entries.items()})
+
+
+def test_swap_count_takes_any_tables():
+    """Inputs no listing produces: scalar multiples, exact copies,
+    reversed order and the empty table."""
+    rays = enumerate_box_rays((3, 3))
+    empty = BigradedBettiTable({})
+    for tables, want in [
+            (rays, 47),
+            (rays + [_scaled(t, 3) for t in rays], 47),
+            ([_scaled(t, 3) for t in rays] + rays, 47),
+            (rays + rays, 47),
+            ([_scaled(t.swap_xy(), 2) for t in rays] + rays, 47),
+            (rays[::-1], 47),
+            ([t.swap_xy() for t in rays[::-1]], 47),
+            (rays + [empty], 48),
+            ([empty, empty], 1),
+            ([], 0)]:
+        assert count_up_to_swap(tables) == _keyed_swap_count(tables) == want
+
+
+_SMALL_TABLES = st.dictionaries(
+    st.tuples(st.integers(0, 2),
+              st.tuples(st.integers(0, 3), st.integers(0, 3))),
+    st.integers(1, 4), max_size=5).map(BigradedBettiTable)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SMALL_TABLES, st.integers(0, 7), st.integers(1, 3),
+                          st.booleans()), max_size=8))
+def test_swap_count_matches_the_keyed_route(drawn):
+    """Up to 8 small tables; where the drawn index names an earlier
+    table, a copy of it scaled by k, and mirrored when asked, stands in
+    for the drawn table.  The count equals the keyed route's."""
+    tables = []
+    for table, j, k, mirrored in drawn:
+        if j < len(tables):
+            table = _scaled(tables[j], k)
+            if mirrored:
+                table = table.swap_xy()
+        tables.append(table)
+    assert count_up_to_swap(tables) == _keyed_swap_count(tables)
 
 
 def _rebuilt_publicly(table):

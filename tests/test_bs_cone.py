@@ -49,6 +49,12 @@ def test_is_pure_empty_table():
     assert is_pure(GradedBettiTable(2, {})) is None
 
 
+def test_is_pure_rejects_degrees_that_fall():
+    # one degree per column, but column 1 sits below column 0
+    t = GradedBettiTable(2, {(0, 2): 1, (1, 1): 1, (2, 3): 1})
+    assert is_pure(t) is None
+
+
 def test_decompose_pure_table_is_single_part():
     d = decompose_graded(_table([0, 1, 3, 5], scale=3))
     assert len(d.parts) == 1

@@ -631,6 +631,24 @@ def test_every_json_path_prints_the_json_dumps_bytes(tmp_path, capsys,
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+def test_check_json_writes_a_mixed_support_failure(tmp_path, capsys):
+    """The Koszul table of k plus beta_0 and beta_1 both at (2, 2): the
+    two cancel in the K-polynomial, so the certificate runs, and the
+    vertex (2, 2) mixes homological degrees 0 and 1."""
+    entries = [(0, (0, 0)), (1, (1, 0)), (1, (0, 1)), (2, (1, 1)),
+               (0, (2, 2)), (1, (2, 2))]
+    path = _write(tmp_path, "mixed-vertex.json", {
+        "kind": "bigraded",
+        "entries": [{"i": i, "deg": list(deg), "b": 1}
+                    for i, deg in entries]})
+    assert run(["bigraded", "check", path, "--json"]) == 0
+    out = capsys.readouterr().out
+    obj = json.loads(out)
+    assert out == json.dumps(obj, indent=2) + "\n"
+    assert {"kind": "mixed-support", "subject": [2, 2],
+            "detail": [0, 1]} in obj["failures"]
+
+
 @pytest.mark.parametrize("box, digest", [
     ("3,3", "46b45a86332971217c0f9274c29a19abb378fee45143bb1e74fa26444fce7f47"),
     ("4,4", "befdce2792c407f7329c7c2bca960bf58004011b93a585b2c9b0dae46898b7c9"),

@@ -240,6 +240,15 @@ def test_proportionality_ratio():
     assert proportionality_ratio(base, other) is None
 
 
+def test_proportionality_ratio_edge_cases():
+    empty = GradedBettiTable(2, {})
+    assert proportionality_ratio(empty, empty) == 1
+    # same support, counts not proportional
+    t1 = GradedBettiTable(2, {(0, 0): 1, (1, 1): 2})
+    t2 = GradedBettiTable(2, {(0, 0): 1, (1, 1): 3})
+    assert proportionality_ratio(t1, t2) is None
+
+
 def test_coarsen_bigraded_to_graded():
     square = monomial_quotient(
         MonomialPair([(0, 0)], [(2, 0), (1, 1), (0, 2)]))
