@@ -1,4 +1,5 @@
-"""Exact linear algebra on int rows: row reduction and rank.
+"""Exact linear algebra on int rows: rank and a reduced span grown one
+row at a time.
 
 Matrices are lists of row lists of ints.  A caller holding rationals
 clears them once, where they enter, with integer_rows: scaling a row
@@ -32,28 +33,47 @@ def integer_rows(m):
     return out
 
 
-def _eliminate(rows, c, r, start):
-    """Clear column c in rows[start:] (all but row r) against pivot row
-    r, fraction-free, dividing each changed row by its gcd."""
-    p = rows[r]
-    pc = p[c]
-    for i in range(start, len(rows)):
-        f = rows[i][c]
-        if f and i != r:
-            row = [pc * a - f * b for a, b in zip(rows[i], p)]
-            g = gcd(*row)
-            rows[i] = [x // g for x in row] if g > 1 else row
+def _cleared(row, p, c):
+    """row with column c cleared against pivot row p, fraction-free:
+    p[c] times row minus row[c] times p, divided by its gcd."""
+    pc, f = p[c], row[c]
+    row = [pc * a - f * b for a, b in zip(row, p)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
-def _echelon(rows, full):
-    """Pivot columns of the int rows, reduced in place; rows above a
-    pivot are cleared too when full is set.  Rows are replaced, never
-    changed, so a shallow copy keeps the caller's rows intact."""
+def insert_row(basis, row):
+    """Extend basis by one int row, keeping it fully reduced.
+
+    basis maps each pivot column to its pivot row, which is zero before
+    that column and at every other pivot column.  The row is cleared at
+    every pivot column; if anything is left, its first nonzero column
+    is the new pivot, cleared from the other pivot rows.  Those are zero
+    before their own pivots, so only the ones with a pivot left of the
+    new one change, and keep their pivots.  Each pivot row divided by
+    its entry at the pivot is then a row of the reduced row echelon
+    form of every row inserted, which is unique: it does not depend on
+    the order of insertion.  The basis rows are replaced, never changed.
+    """
+    for c, p in basis.items():
+        if row[c]:
+            row = _cleared(row, p, c)
+    c = next((c for c, x in enumerate(row) if x), None)
+    if c is None:
+        return
+    for k, p in basis.items():
+        if p[c]:
+            basis[k] = _cleared(p, row, c)
+    basis[c] = row
+
+
+def rank(rows):
+    """Rank of the int rows, by forward elimination on a copy: rows are
+    replaced, never changed, so the caller's rows stay intact."""
+    rows = list(rows)
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
         if r == nrows:
             break
         for pick in range(r, nrows):
@@ -61,23 +81,10 @@ def _echelon(rows, full):
                 break
         else:
             continue
-        rows[r], rows[pick] = rows[pick], rows[r]
-        _eliminate(rows, c, r, 0 if full else r + 1)
-        pivots.append(c)
-    return pivots
-
-
-def rref(rows):
-    """Fully reduce a copy of the int rows; returns (pivot rows, pivot
-    columns).
-
-    Pivot row k is zero at every pivot column but pivots[k]; divided
-    by its entry there, it is row k of the reduced row echelon form.
-    """
-    rows = list(rows)
-    pivots = _echelon(rows, full=True)
-    return rows[:len(pivots)], pivots
-
-
-def rank(rows):
-    return len(_echelon(list(rows), full=False))
+        p = rows[pick]
+        rows[r], rows[pick] = p, rows[r]
+        for i in range(r + 1, nrows):
+            if rows[i][c]:
+                rows[i] = _cleared(rows[i], p, c)
+        r += 1
+    return r

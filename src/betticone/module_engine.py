@@ -9,15 +9,16 @@ rational matrices.  Betti numbers then come out of the Koszul complex
 
 restricted to a single bidegree, so no Groebner machinery is needed.
 Module maps hold Fraction entries; _linalg reduces int rows only, so
-rationals are cleared here, once per matrix that is reduced: the
-scalar grid's rows for the generic rank, its columns for the scans
-of a presentation, and each Koszul block as a whole.  The ranks
-involved are the same for any field of characteristic zero.
+rationals are cleared here, once where they enter: the scalar grid's
+rows for the generic rank, its columns once per presentation scan,
+and each distinct stored map once per Betti table, by rows and, when
+two maps must be set side by side, by columns.  The ranks involved
+are the same for any field of characteristic zero.
 """
 
 from fractions import Fraction
 
-from ._linalg import integer_rows, rank, rref, transpose
+from ._linalg import insert_row, integer_rows, rank, transpose
 from .bigraded import (BigradedBettiTable, integral, integral_bidegree,
                        json_bidegree, json_bidegrees, json_list,
                        json_rational)
@@ -289,20 +290,44 @@ def _integer_columns(pm):
                          for c in range(len(pm.col_degrees))])
 
 
+def _column_spans(pm, columns, a, b_grid):
+    """The scan both presentation scans share, along one grid line.
+
+    For each b of b_grid, upward, yields the number of columns of degree
+    <= (a, b) and their span: columns are the int columns of pm
+    (_integer_columns), inserted with insert_row as b passes their
+    degree, so each is inserted once per line and the span, keyed by
+    pivot row, is updated in place.  It is in global row coordinates:
+    a nonzero scalar at (r, c) needs row r <= column c, so these
+    columns are zero off the rows of degree <= (a, b), and the span is
+    the one of the block those rows and columns cut out.
+    """
+    line = sorted((d[1], c) for c, d in enumerate(pm.col_degrees)
+                  if d[0] <= a)
+    basis = {}
+    inserted = 0
+    for b in b_grid:
+        while inserted < len(line) and line[inserted][0] <= b:
+            insert_row(basis, columns[line[inserted][1]])
+            inserted += 1
+        yield inserted, basis
+
+
 def coker_presentation(pm):
     """Cokernel of a presentation matrix as a FiniteModule.
 
     In each bidegree the free pieces are spanned by one monomial per
     surviving row or column, the matrix of the map is just the scalar
     grid restricted to those indices, and the cokernel basis is the set
-    of rows missed by the column space pivots.  Each block is reduced
-    as its int columns (_integer_columns) restricted to the surviving
-    rows, so rref's pivot columns are pivot rows of the block, and its
-    pivot vectors are kept unnormalised: the one led by row r is
-    nonzero at r and zero at the other pivot rows.  So a free row is
-    its own cokernel basis vector, and a pivot row r is, modulo the
-    column space, minus that vector over its entry at r, read on the
-    free rows.  The x and y maps are read off the target's vectors.
+    of surviving rows missed by the column space pivots.  The column
+    space is _column_spans' reduced span: its pivot rows and its pivot
+    vectors up to scale are those of the block's reduced row echelon
+    form, which is unique, and the block's columns vanish off the
+    surviving rows.  The vector led by row r is nonzero at r and zero
+    at the other pivot rows.  So a free row is its own cokernel basis
+    vector, and a pivot row r is, modulo the column space, minus that
+    vector over its entry at r, read on the free rows.  The x and y
+    maps are read off the target's vectors, in global row ids.
 
     The degrees fix the scan box.  Let lo be the coordinatewise minimum
     of the row degrees and D the coordinatewise maximum of all row and
@@ -319,10 +344,12 @@ def coker_presentation(pm):
     axis, the largest degree coordinate at most alpha's, so a degree is
     <= alpha exactly when it is <= that corner: every bidegree of a
     cell has the corner's surviving rows and columns.  So the scan
-    walks the cells: it reduces each once, at its corner, raises at the
-    first nonzero cell on the top layer (its corner is the first
-    nonzero bidegree there), expands only nonzero cells into pieces,
-    and reads the map between two cells off once.
+    walks the corners, line by line in a and upward in b, counting
+    the surviving rows as it goes; a cell is zero when the span has a
+    pivot in each of them.  It raises at the first nonzero cell on the top
+    layer (its corner is the first nonzero bidegree there), expands
+    only nonzero cells into pieces, and reads the map between two
+    cells off once.
 
     The module is built unchecked: every piece has its cell's free
     rows as basis, so its dimension is a positive int at an int
@@ -343,25 +370,26 @@ def coker_presentation(pm):
     cells = {}
     pieces = []
     for a0, a1 in zip(a_grid, a_grid[1:] + [None]):
-        for b0, b1 in zip(b_grid, b_grid[1:] + [None]):
-            corner = (a0, b0)
-            rows = _below(pm.row_degrees, corner)
-            cols = _below(pm.col_degrees, corner)
-            basis, pivots = rref([[columns[c][r] for r in rows]
-                                  for c in cols])
-            lead = dict(zip(pivots, basis))
-            free = [k for k in range(len(rows)) if k not in lead]
-            if not free:
+        rows = sorted((d[1], r) for r, d in enumerate(pm.row_degrees)
+                      if d[0] <= a0)
+        surviving = 0
+        spans = _column_spans(pm, columns, a0, b_grid)
+        for b0, b1, (_, basis) in zip(b_grid, b_grid[1:] + [None], spans):
+            while surviving < len(rows) and rows[surviving][0] <= b0:
+                surviving += 1
+            if surviving == len(basis):
                 continue
+            corner = (a0, b0)
             if a1 is None or b1 is None:
                 raise NotFiniteLength(
                     f"cokernel is nonzero at {corner} on the top layer of "
                     f"[{lo}, {top}], so its support is unbounded")
-            cells[corner] = (rows, free, lead)
+            free = sorted(r for _, r in rows[:surviving] if r not in basis)
+            cells[corner] = (free, dict(basis))
             pieces += [((a, b), corner) for a in range(a0, a1)
                        for b in range(b0, b1)]
     pieces = dict(sorted(pieces))
-    dims = {alpha: len(cells[corner][1]) for alpha, corner in pieces.items()}
+    dims = {alpha: len(cells[corner][0]) for alpha, corner in pieces.items()}
     maps = {}
     mult_x = {}
     mult_y = {}
@@ -371,26 +399,31 @@ def coker_presentation(pm):
             if target is None:
                 continue
             if (corner, target) not in maps:
-                maps[corner, target] = _cell_map(cells[corner], cells[target])
+                maps[corner, target] = _cell_map(cells[corner][0],
+                                                 cells[target])
             store[alpha] = maps[corner, target]
     return FiniteModule._trusted(dims, mult_x, mult_y)
 
 
-def _cell_map(source, target):
-    """Matrix of the inclusion of the source cell's cokernel basis (its
-    free rows) into the target cell's cokernel, in its free rows."""
-    rows, free, _ = source
-    t_rows, t_free, t_lead = target
-    pos = {rid: k for k, rid in enumerate(t_rows)}
+def _cell_map(free, target):
+    """Matrix of the inclusion of a cell's cokernel basis, its free
+    rows, into the target cell's cokernel, in its free rows."""
+    t_free, t_lead = target
     columns = []
-    for rid_local in free:
-        k = pos[rows[rid_local]]
-        if k in t_lead:
-            vector = t_lead[k]
-            columns.append([Fraction(-vector[f], vector[k]) for f in t_free])
+    for r in free:
+        vector = t_lead.get(r)
+        if vector is None:
+            columns.append([ONE if f == r else ZERO for f in t_free])
         else:
-            columns.append([ONE if f == k else ZERO for f in t_free])
+            columns.append([Fraction(-vector[f], vector[r]) for f in t_free])
     return transpose(columns)
+
+
+def _by_identity(mod):
+    """The module's distinct stored maps, keyed by identity.  A key is
+    valid while the module holds the map, so it is used within a call."""
+    return {id(m): m for maps in (mod.mult_x, mod.mult_y)
+            for m in maps.values()}
 
 
 def bigraded_betti(mod):
@@ -402,10 +435,38 @@ def bigraded_betti(mod):
     dimensions of its homology, which elementary rank counting turns
     into the formulas below.  Only the support shifted by (0,0), (1,0),
     (0,1) or (1,1) meets a nonzero piece, and negating the x rows of
-    the first map keeps its rank.  Each block is cleared of rationals
-    as a whole: the second one only after x and y are joined row by
-    row, since each row must be scaled by one factor.
+    the first map keeps its rank.
+
+    Each distinct stored map (by identity: a presentation's cokernel
+    shares one per pair of cells) is reduced once per call.  r2 is the
+    rank of y over x stacked, r1 of x and y side by side.  Either is at
+    least the larger rank of its two blocks and at most the common
+    width (r2) or height (r1), so a block of full rank there settles
+    it.  Otherwise r2 stacks the two maps' int rows, each row cleared
+    of rationals on its own, and r1 stacks their int columns, since
+    [x | y] has the rank of its transpose.  It stays the Koszul route:
+    it reads no corner count and no mirrored table.
     """
+    rows = {key: integer_rows(m) for key, m in _by_identity(mod).items()}
+    ranks = {key: rank(r) for key, r in rows.items()}
+    columns = {}
+
+    def joint_rank(first, second, bound, side_by_side):
+        """Rank of two stored maps (None is a zero map) stacked, or side
+        by side, bound being their common width or height."""
+        if first is None or second is None:
+            m = second if first is None else first
+            return 0 if m is None else ranks[id(m)]
+        found = max(ranks[id(first)], ranks[id(second)])
+        if found == bound:
+            return found
+        if not side_by_side:
+            return rank(rows[id(first)] + rows[id(second)])
+        for m in (first, second):
+            if id(m) not in columns:
+                columns[id(m)] = integer_rows(transpose(m))
+        return rank(columns[id(first)] + columns[id(second)])
+
     entries = {}
     for alpha in sorted({(a + da, b + db) for a, b in mod.dims
                          for da in (0, 1) for db in (0, 1)}):
@@ -417,13 +478,10 @@ def bigraded_betti(mod):
         d_left = mod.dim(left)
         d_below = mod.dim(below)
         d_here = mod.dim(alpha)
-        r2 = 0
-        if d_corner and (d_left or d_below):
-            r2 = rank(integer_rows(mod.map_y(corner) + mod.map_x(corner)))
-        r1 = 0
-        if d_here and (d_left or d_below):
-            r1 = rank(integer_rows([x + y for x, y in zip(mod.map_x(left),
-                                                          mod.map_y(below))]))
+        r2 = joint_rank(mod.mult_y.get(corner), mod.mult_x.get(corner),
+                        d_corner, False)
+        r1 = joint_rank(mod.mult_x.get(left), mod.mult_y.get(below),
+                        d_here, True)
         b2 = d_corner - r2
         b1 = d_left + d_below - r1 - r2
         b0 = d_here - r1
@@ -433,7 +491,10 @@ def bigraded_betti(mod):
         for i, value in ((0, b0), (1, b1), (2, b2)):
             if value:
                 entries[(i, alpha)] = value
-    return BigradedBettiTable(entries)
+    # Each count is a dimension minus a rank, so a positive int once
+    # zeros are dropped, with i in {0, 1, 2} at the int bidegrees the
+    # module's dims hold shifted by (0,0), (1,0), (0,1) or (1,1).
+    return BigradedBettiTable._trusted(entries)
 
 
 def kernel_generator_degrees(pm):
@@ -467,8 +528,8 @@ def kernel_generator_degrees(pm):
     a grid point is h at the grid neighbour to the left (zero past the
     first one), likewise below, and a bidegree off the grid gains no
     generator.  Since the surviving columns are zero outside the
-    surviving rows, h is their number minus the rank of those whole
-    columns.
+    surviving rows, h is the number of columns _column_spans has
+    inserted minus the size of their span.
     """
     expected = len(pm.col_degrees) - generic_rank(pm)
     if expected == 0:
@@ -478,12 +539,8 @@ def kernel_generator_degrees(pm):
     columns = _integer_columns(pm)
     h = [[0] * (len(b_grid) + 1)]
     for a in a_grid:
-        h_row = [0]
-        for b in b_grid:
-            cols = _below(pm.col_degrees, (a, b))
-            h_row.append(len(cols) - rank([columns[c] for c in cols])
-                         if cols else 0)
-        h.append(h_row)
+        h.append([0] + [inserted - len(basis) for inserted, basis
+                        in _column_spans(pm, columns, a, b_grid)])
     gens = []
     for i, a in enumerate(a_grid, 1):
         for j, b in enumerate(b_grid, 1):
@@ -506,17 +563,20 @@ def dual_module(mod):
     original from src to src + step, transposed, is the dual's from
     c - src - step; a map the original does not store is zero, and so
     stays absent.  Betti tables transform by
-    beta'_{i, alpha} = beta_{2 - i, c + (1,1) - alpha}.
+    beta'_{i, alpha} = beta_{2 - i, c + (1,1) - alpha}.  Each distinct
+    stored map is transposed once, so the dual shares its maps where
+    the original does.
 
     The dual is built unchecked: reflected dims, and stored maps
     between nonzero pieces transposed to the reversed shape, which
     commute as the originals do.
     """
     ca, cb = mod.hull()[1]
+    flipped = {key: transpose(m) for key, m in _by_identity(mod).items()}
     dims = {(ca - a, cb - b): d for (a, b), d in mod.dims.items()}
-    mult_x = {(ca - a - 1, cb - b): transpose(m)
+    mult_x = {(ca - a - 1, cb - b): flipped[id(m)]
               for (a, b), m in mod.mult_x.items()}
-    mult_y = {(ca - a, cb - b - 1): transpose(m)
+    mult_y = {(ca - a, cb - b - 1): flipped[id(m)]
               for (a, b), m in mod.mult_y.items()}
     return FiniteModule._trusted(dims, mult_x, mult_y)
 

@@ -37,7 +37,7 @@ from betticone import (
     seed_catalogue,
 )
 from betticone import module_engine
-from betticone._linalg import integer_rows, rank, rref
+from betticone._linalg import insert_row, integer_rows, rank
 from betticone.module_engine import (
     presentation_from_json_obj,
     presentation_to_json_obj,
@@ -556,6 +556,138 @@ def test_coker_maps_match_the_reduction_route_on_rational_coefficients():
     assert len(inputs) // 4 < infinite < len(inputs) // 2
 
 
+def _cell_scan_coker_presentation(pm):
+    """Reference route for coker_presentation: the per-cell scan the
+    library ran before its column space grew one column at a time.
+
+    Same grid cells, top-layer check and message, but every cell's
+    corner reduces its own block (the surviving columns on the
+    surviving rows, in local positions) anew, and the maps are
+    read off the target's normalized pivot vectors through a map from
+    row ids to positions.
+    """
+    if not pm.row_degrees:
+        return FiniteModule({}, {}, {})
+    degrees = pm.row_degrees + pm.col_degrees
+    lo = (min(a for a, _ in pm.row_degrees),
+          min(b for _, b in pm.row_degrees))
+    a_grid = sorted({a for a, _ in degrees if a >= lo[0]})
+    b_grid = sorted({b for _, b in degrees if b >= lo[1]})
+    top = (a_grid[-1], b_grid[-1])
+    cells = {}
+    pieces = []
+    for a0, a1 in zip(a_grid, a_grid[1:] + [None]):
+        for b0, b1 in zip(b_grid, b_grid[1:] + [None]):
+            corner = (a0, b0)
+            rows, _, matrix = _matrix_at(pm, corner)
+            reduced, pivots = _fraction_rref(
+                [list(col) for col in zip(*matrix)])
+            lead = dict(zip(pivots, reduced))
+            free = [k for k in range(len(rows)) if k not in lead]
+            if not free:
+                continue
+            if a1 is None or b1 is None:
+                raise NotFiniteLength(
+                    f"cokernel is nonzero at {corner} on the top layer of "
+                    f"[{lo}, {top}], so its support is unbounded")
+            cells[corner] = (rows, free, lead)
+            pieces += [((a, b), corner) for a in range(a0, a1)
+                       for b in range(b0, b1)]
+    pieces = dict(sorted(pieces))
+    dims = {alpha: len(cells[corner][1]) for alpha, corner in pieces.items()}
+    maps = ({}, {})
+    for alpha, corner in pieces.items():
+        rows, free, _ = cells[corner]
+        for step, store in zip(((1, 0), (0, 1)), maps):
+            target = pieces.get((alpha[0] + step[0], alpha[1] + step[1]))
+            if target is None:
+                continue
+            t_rows, t_free, t_lead = cells[target]
+            pos = {rid: k for k, rid in enumerate(t_rows)}
+            columns = []
+            for k in (pos[rows[f]] for f in free):
+                if k in t_lead:
+                    columns.append([-t_lead[k][f] for f in t_free])
+                else:
+                    columns.append([_ONE if f == k else Fraction(0)
+                                    for f in t_free])
+            store[alpha] = [list(row) for row in zip(*columns)]
+    return FiniteModule(dims, *maps)
+
+
+def _block_betti(mod):
+    """Reference route for bigraded_betti: the Koszul oracle as it was
+    before it reduced each stored map once, clearing and reducing both
+    blocks anew at every bidegree."""
+    entries = {}
+    for alpha in sorted({(a + da, b + db) for a, b in mod.dims
+                         for da in (0, 1) for db in (0, 1)}):
+        a, b = alpha
+        corner, left, below = (a - 1, b - 1), (a - 1, b), (a, b - 1)
+        d_corner, d_left = mod.dim(corner), mod.dim(left)
+        d_below, d_here = mod.dim(below), mod.dim(alpha)
+        r2 = 0
+        if d_corner and (d_left or d_below):
+            r2 = rank(integer_rows(mod.map_y(corner) + mod.map_x(corner)))
+        r1 = 0
+        if d_here and (d_left or d_below):
+            r1 = rank(integer_rows([x + y for x, y in zip(mod.map_x(left),
+                                                          mod.map_y(below))]))
+        for i, value in ((0, d_here - r1),
+                         (1, d_left + d_below - r1 - r2),
+                         (2, d_corner - r2)):
+            if value:
+                entries[(i, alpha)] = value
+    return BigradedBettiTable(entries)
+
+
+def _resolved(coker, betti, pm):
+    """A module's pieces, maps, dual maps and both tables, each in its
+    order, or the text of the NotFiniteLength the cokernel raised."""
+    try:
+        m = coker(pm)
+    except NotFiniteLength as exc:
+        return str(exc)
+    dual = dual_module(m)
+    return [list(m.dims.items()), list(m.mult_x.items()),
+            list(m.mult_y.items()), list(dual.mult_x.items()),
+            list(dual.mult_y.items()), list(betti(m).entries.items()),
+            list(betti(dual).entries.items())]
+
+
+def test_presentation_routes_match_the_per_cell_references():
+    rng = random.Random(20121219)
+    inputs = [PACMAN, HEART] + _coker_inputs(rng, 1000)
+    inputs += _coker_inputs(rng, 1000, rational=True)
+    infinite = 0
+    for pm in inputs:
+        ours = _resolved(coker_presentation, bigraded_betti, pm)
+        assert ours == _resolved(_cell_scan_coker_presentation,
+                                 _block_betti, pm), \
+            presentation_to_json_obj(pm)
+        infinite += isinstance(ours, str)
+    assert {len(pm.row_degrees) for pm in inputs} == {1, 2, 3, 4}
+    assert len(inputs) // 4 < infinite < len(inputs) // 2
+
+
+def test_oracle_matches_the_block_reference_on_monomial_quotients():
+    antichains = _antichains_below(5)
+    finite = 0
+    for outer in antichains:
+        for inner in antichains:
+            if not all(module_engine._below(outer, g) for g in inner):
+                continue
+            try:
+                module = monomial_quotient(MonomialPair(outer, inner))
+            except NotFiniteLength:
+                continue
+            finite += 1
+            for m in (module, dual_module(module)):
+                assert list(bigraded_betti(m).entries.items()) == \
+                    list(_block_betti(m).entries.items())
+    assert finite == 3323
+
+
 _GROWTH_MARGINS = (2, 4, 8, 16, 32, 64)
 
 
@@ -899,13 +1031,15 @@ def test_linalg_matches_the_fraction_route():
         reduced, pivots = _fraction_rref(m)
         rows = integer_rows(m)
         given = [row[:] for row in rows]
-        pivot_rows, got_pivots = rref(rows)
+        for order in (rows, rows[::-1]):
+            basis = {}
+            for row in order:
+                insert_row(basis, row)
+            assert sorted(basis) == pivots, m
+            assert all(type(x) is int for row in basis.values() for x in row)
+            assert [[Fraction(x, basis[p][p]) for x in basis[p]]
+                    for p in pivots] == reduced[:len(pivots)], m
         assert rows == given, m
-        assert got_pivots == pivots, m
-        assert all(type(x) is int for row in pivot_rows for x in row)
-        assert [[Fraction(x, row[p]) for x in row]
-                for row, p in zip(pivot_rows, pivots)] == \
-            reduced[:len(pivots)], m
         assert rank(rows) == len(pivots), m
         assert rows == given, m
         deficient += len(pivots) < min(len(m), len(m[0]) if m else 0)
@@ -924,9 +1058,9 @@ def _counting(monkeypatch, name):
     calls = []
     inner = getattr(module_engine, name)
 
-    def counted(m):
-        calls.append(m)
-        return inner(m)
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
 
     monkeypatch.setattr(module_engine, name, counted)
     return calls
@@ -939,22 +1073,50 @@ def test_kernel_scan_ranks_only_the_column_grid(monkeypatch):
     assert 0 < len(calls) <= 9
 
 
-def test_coker_scan_reduces_once_per_grid_cell(monkeypatch):
-    pm = _residue_field(60)
-    calls = _counting(monkeypatch, "rref")
-    module = coker_presentation(pm)
-    assert module.dims == {(0, 0): 1}
-    degrees = pm.row_degrees + pm.col_degrees
-    cells = len({a for a, _ in degrees}) * len({b for _, b in degrees})
-    assert 0 < len(calls) <= cells
-
-
 def _distant_pair(k):
     """Residue fields at (0, 0) and (k, k), presented side by side."""
     return PresentationMatrix(
         rows=[(0, 0), (k, k)], cols=[(1, 0), (0, 1), (k + 1, k), (k, k + 1)],
         entries=[[[(1, (1, 0))], [(1, (0, 1))], [], []],
                  [[], [], [(1, (1, 0))], [(1, (0, 1))]]])
+
+
+@pytest.mark.parametrize("pm", [_residue_field(60), _distant_pair(300)],
+                         ids=["residue_field", "distant_pair"])
+def test_presentation_scans_insert_each_column_once_per_line(monkeypatch, pm):
+    """Both scans insert each column at most once per line of their
+    a-grid; pm is one or two residue fields, one per row."""
+    degrees = pm.row_degrees + pm.col_degrees
+    lo = min(a for a, _ in pm.row_degrees)
+    width = len(pm.col_degrees)
+    calls = _counting(monkeypatch, "insert_row")
+    assert sum(coker_presentation(pm).dims.values()) == len(pm.row_degrees)
+    assert 0 < len(calls) <= len({a for a, _ in degrees if a >= lo}) * width
+    calls.clear()
+    assert sum(count for _, count in kernel_generator_degrees(pm)) == \
+        width - len(pm.row_degrees)
+    assert 0 < len(calls) <= len({a for a, _ in pm.col_degrees}) * width
+
+
+@pytest.mark.parametrize("build", [
+    lambda: coker_presentation(PresentationMatrix(
+        rows=[(0, 0)], cols=[(200, 0), (0, 200)],
+        entries=[[[(1, (200, 0))], [(1, (0, 200))]]])),
+    lambda: monomial_quotient(MonomialPair([(0, 0)], [(200, 0), (0, 200)])),
+], ids=["presentation", "monomial_quotient"])
+def test_oracle_clears_each_stored_map_at_most_twice(monkeypatch, build):
+    """k[x, y]/(x^200, y^200) from either input stores 79600 maps, all
+    one object."""
+    module = build()
+    stored = {id(m) for maps in (module.mult_x, module.mult_y)
+              for m in maps.values()}
+    assert len(module.mult_x) + len(module.mult_y) == 2 * 199 * 200
+    assert len(stored) == 1
+    calls = _counting(monkeypatch, "integer_rows")
+    assert bigraded_betti(module).entries == {
+        (0, (0, 0)): 1, (1, (0, 200)): 1, (1, (200, 0)): 1,
+        (2, (200, 200)): 1}
+    assert 0 < len(calls) <= 2 * len(stored)
 
 
 def _two_point_quotient(k):
