@@ -24,9 +24,9 @@ from .errors import (BetticoneError, BoundTooLarge, CollapsedSurvivor,
                      NoCollapsibleWindow, NonIncreasingDegrees,
                      NotContained, NotFiniteLength, NotInConeCandidate,
                      NotOnHyperplane)
-from .es_construct import (ESPlan, TwistTable, collapse_step, es_plan,
-                           es_ranks, line_bundle_cohomology,
-                           render_plan_text, twist_table)
+from .es_construct import (ESPlan, collapse_step, es_plan, es_ranks,
+                           line_bundle_cohomology, render_plan_text,
+                           twist_table)
 from .local_cone import (BOUNDARY, INSIDE, OUTSIDE, LocalBettiVector,
                          is_in_local_cone, limit_degrees, limit_table,
                          local_from_graded, local_ray_coefficients,

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -127,16 +128,15 @@ def cmd_es_plan(args):
     plan = es_plan(_ints(args.degrees, "degrees"))
     ranks = es_ranks(plan)
     if args.json:
-        table = twist_table(plan)
         _print_json({
             "degrees": list(plan.degrees),
             "gaps": list(plan.gaps),
             "factors": [{"dim": m, "twist_base": base}
                         for m, base in plan.factors],
-            "rows": [{"t": row.t, "ambient_degree": row.ambient_degree,
+            "rows": [{"t": row.t, "ambient_degree": -row.t,
                       "twists": list(row.twists),
                       "survivor": bool(row.survivor)}
-                     for row in table.rows],
+                     for row in twist_table(plan)],
             "ranks": list(ranks.multiplicities),
         })
     else:
@@ -331,16 +331,23 @@ def build_parser():
                        help="machine-readable output")
         return p
 
-    p = with_json(sub.add_parser(
-        "hk", help="minimal integer table of a pure degree sequence"))
-    p.add_argument("degrees", help="comma-separated strictly "
-                   "increasing integers, e.g. 0,1,3,5")
+    def degree_list(p):
+        p.add_argument("degrees", help="comma-separated strictly "
+                       "increasing integers, e.g. 0,1,3,5")
+        # argparse reads a token that starts with "-" as an option unless
+        # it matches this pattern, which by default takes single numbers
+        # only; these parsers have no option that starts "-<digit>", so a
+        # list like -2,0,1 is their positional.
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        return p
+
+    p = degree_list(with_json(sub.add_parser(
+        "hk", help="minimal integer table of a pure degree sequence")))
     p.set_defaults(func=cmd_hk)
 
-    p = with_json(sub.add_parser(
+    p = degree_list(with_json(sub.add_parser(
         "es-plan", help="twist bookkeeping for the pure resolution "
-        "construction"))
-    p.add_argument("degrees")
+        "construction")))
     p.set_defaults(func=cmd_es_plan)
 
     p = with_json(sub.add_parser(

@@ -15,9 +15,8 @@ class NonIncreasingDegrees(BetticoneError):
 
 class InternalInconsistency(BetticoneError):
     """An internal invariant broke: a twist table row collapsed without
-    a vanishing factor, a degree plan whose gaps miss the ambient
-    dimension, negative Koszul homology, kernel generators that miss
-    the generic rank.
+    a vanishing factor, negative Koszul homology, kernel generators
+    that miss the generic rank.
 
     Unreachable from valid inputs; kept as a loud guard that, unlike
     assert, survives python -O.

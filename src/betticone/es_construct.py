@@ -1,12 +1,13 @@
 """Rank bookkeeping for pure resolutions built by pushing forward a
 twisted Koszul complex along a product of projective spaces.
 
-A strictly increasing degree sequence d_0 = 0 < d_1 < ... < d_n with
-gaps m_i = d_i - d_{i-1} - 1 determines a product P^{m_1} x ... x P^{m_n}
-(factors with m_i = 0 are points and are dropped).  The Koszul complex
-on d_n variables, with factor i twisted by +d_{i-1}, collapses to a
-pure complex: row t of the twist table survives exactly when every
-factor twist d_{i-1} - t has cohomology, which happens for t in
+A strictly increasing degree sequence, translated so that d_0 = 0,
+fixes everything here.  The gaps m_i = d_i - d_{i-1} - 1 determine a
+product P^{m_1} x ... x P^{m_n} (factors with m_i = 0 are points and
+are dropped).  The Koszul complex on d_n variables, with factor i
+twisted by +d_{i-1}, collapses to a pure complex: row t of the twist
+table survives exactly when no factor twist d_{i-1} - t lies in that
+factor's vanishing window -m_i <= e <= -1, which happens for t in
 {d_0, ..., d_n}.  The surviving rank is a binomial times a product of
 line bundle cohomology dimensions; no differentials are computed here,
 only twists, survivors, and ranks.
@@ -20,13 +21,19 @@ from .errors import (CollapsedSurvivor, InternalInconsistency,
 from .tables import DegreeSequence, PureTable, as_degree_sequence
 
 
+def in_vanishing_window(m, e):
+    """Whether O(e) on projective m-space has no cohomology at all,
+    which is -m <= e <= -1 (empty on a point)."""
+    return -m <= e <= -1
+
+
 def line_bundle_cohomology(m, e):
     """Dimensions (h0, h_top) of O(e) on projective m-space.
 
     h0 = C(e+m, m) for e >= 0, the top cohomology is C(-e-1, m) for
-    e <= -m-1, and everything vanishes for -m <= e <= -1.  On a point
-    (m = 0) the answer is reported as (1, 0) so that callers never
-    count the same line twice.
+    e <= -m-1, and everything vanishes in the window -m <= e <= -1.  On
+    a point (m = 0) the answer is reported as (1, 0) so that callers
+    never count the same line twice.
     """
     m = integral(m, "projective space dimension")
     e = integral(e, "twist")
@@ -34,42 +41,46 @@ def line_bundle_cohomology(m, e):
         raise ValueError("projective space dimension must be >= 0")
     if m == 0:
         return (1, 0)
+    if in_vanishing_window(m, e):
+        return (0, 0)
     if e >= 0:
         return (comb(e + m, m), 0)
-    if e <= -m - 1:
-        return (0, comb(-e - 1, m))
-    return (0, 0)
+    return (0, comb(-e - 1, m))
 
 
 class ESPlan:
-    """Degree plan: gaps, projective factors with their twists, and the
-    ambient variable count d_n."""
+    """Degree plan of a strictly increasing sequence, translated so that
+    d_0 = 0 (a global twist of the resolution that changes no rank).
+
+    The gaps, the projective factors (m_i, d_{i-1}) of the positive
+    gaps, and the ambient variable count d_n are all derived from the
+    degrees, so the gaps always telescope to d_n - n."""
 
     __slots__ = ("degrees", "gaps", "factors", "ambient_vars")
 
-    def __init__(self, degrees, gaps, factors, ambient_vars):
-        self.degrees = degrees
-        self.gaps = tuple(gaps)
-        self.factors = tuple(factors)
-        self.ambient_vars = ambient_vars
-        if sum(self.gaps) != ambient_vars - degrees.n:
-            raise InternalInconsistency(
-                "gap vector does not match ambient dimension")
+    def __init__(self, degrees):
+        d = as_degree_sequence(degrees)
+        if d[0] != 0:
+            d = DegreeSequence([x - d[0] for x in d])
+        degs = d.degrees
+        self.degrees = d
+        self.gaps = tuple(b - a - 1 for a, b in zip(degs, degs[1:]))
+        self.factors = tuple((m, degs[i]) for i, m in enumerate(self.gaps)
+                             if m > 0)
+        self.ambient_vars = degs[-1]
 
     def __repr__(self):
-        return (f"ESPlan(degrees={list(self.degrees)}, gaps={self.gaps}, "
-                f"factors={self.factors}, ambient_vars={self.ambient_vars})")
+        return f"ESPlan({list(self.degrees)!r})"
 
 
 class TwistRow:
-    """One Koszul index t: ambient degree -t, per-factor twists, and
+    """One Koszul index t (ambient degree -t): per-factor twists, and
     whether the row survives the pushforward."""
 
-    __slots__ = ("t", "ambient_degree", "twists", "survivor")
+    __slots__ = ("t", "twists", "survivor")
 
-    def __init__(self, t, ambient_degree, twists, survivor):
+    def __init__(self, t, twists, survivor):
         self.t = t
-        self.ambient_degree = ambient_degree
         self.twists = tuple(twists)
         self.survivor = survivor
 
@@ -78,50 +89,32 @@ class TwistRow:
         return f"TwistRow(t={self.t}{star}, twists={self.twists})"
 
 
-class TwistTable:
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(rows)
-
-
 def es_plan(d):
-    """Build the degree plan for a strictly increasing sequence.
-
-    Sequences with d_0 != 0 are first translated so d_0 = 0 (a global
-    twist of the resolution that changes no rank).
-    """
-    d = as_degree_sequence(d)
-    if d[0] != 0:
-        d = d.translate(-d[0])
-    degs = d.degrees
-    gaps = tuple(degs[i] - degs[i - 1] - 1 for i in range(1, len(degs)))
-    factors = tuple((m, degs[i]) for i, m in enumerate(gaps) if m > 0)
-    return ESPlan(d, gaps, factors, degs[-1])
+    """The degree plan of a strictly increasing sequence."""
+    return ESPlan(d)
 
 
 def twist_table(p):
-    """All Koszul rows t = 0..d_n with their factor twists.
+    """The Koszul rows t = 0..d_n of plan p, as a tuple of TwistRows.
 
     Survivors are the rows with t in the degree sequence.  Every other
-    row must be certified by a factor whose twist falls in the
-    cohomology-free window [-m_i, -1]; a collapsed row without such a
-    factor indicates a malformed plan and raises.
+    row must be certified by a factor whose twist falls in its
+    vanishing window; a collapsed row without such a factor indicates
+    a malformed plan and raises.
     """
     deg_set = set(p.degrees)
     rows = []
     for t in range(p.ambient_vars + 1):
         twists = tuple(base - t for _, base in p.factors)
         survivor = t in deg_set
-        if not survivor:
-            vanishing = any(-m <= e <= -1
-                            for (m, _), e in zip(p.factors, twists))
-            if not vanishing:
-                raise InternalInconsistency(
-                    f"row t={t} is not a survivor yet no factor twist "
-                    f"vanishes: twists={twists}")
-        rows.append(TwistRow(t, -t, twists, survivor))
-    return TwistTable(rows)
+        if not survivor and not any(
+                in_vanishing_window(m, e)
+                for (m, _), e in zip(p.factors, twists)):
+            raise InternalInconsistency(
+                f"row t={t} is not a survivor yet no factor twist "
+                f"vanishes: twists={twists}")
+        rows.append(TwistRow(t, twists, survivor))
+    return tuple(rows)
 
 
 def es_ranks(p):
@@ -186,16 +179,15 @@ def render_plan_text(p):
     """Aligned text table: one row per Koszul index, ambient degree,
     one column per projective factor (vanishing twists starred), and
     the homological position of each survivor."""
-    table = twist_table(p)
     headers = ["t", "ambient"]
     headers += [f"P^{m}(+{base})" for m, base in p.factors]
     headers += [""]
     body = []
     position = {dk: idx for idx, dk in enumerate(p.degrees)}
-    for row in table.rows:
-        cells = [str(row.t), str(row.ambient_degree)]
+    for row in twist_table(p):
+        cells = [str(row.t), str(-row.t)]
         for (m, _), e in zip(p.factors, row.twists):
-            star = "*" if -m <= e <= -1 else ""
+            star = "*" if in_vanishing_window(m, e) else ""
             cells.append(f"{e}{star}")
         cells.append(f"F_{position[row.t]}" if row.survivor else "")
         body.append(cells)

@@ -47,9 +47,6 @@ class DegreeSequence:
         """Length minus one: the homological degree of the last column."""
         return len(self.degrees) - 1
 
-    def translate(self, shift):
-        return DegreeSequence(tuple(d + shift for d in self.degrees))
-
     def __len__(self):
         return len(self.degrees)
 

@@ -397,6 +397,42 @@ def test_integer_list_errors_name_the_field(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command, kind", [
+    ("bigraded check", {"kind": "bigraded"}),
+    ("decompose", {"kind": "graded", "nvars": 2}),
+])
+def test_entries_that_are_not_objects_are_rejected(tmp_path, capsys,
+                                                   command, kind):
+    path = _write(tmp_path, "scalar-entry.json", dict(kind, entries=[5]))
+    assert run(command.split() + [path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: entries must hold objects, got 5\n"
+
+
+@pytest.mark.parametrize("command, degrees, last_line", [
+    ("hk", "-1,0,2", "(-1,0,2) : 2 3 1"),
+    ("es-plan", "-2,0,1", "ranks : 1 3 2"),
+    ("hk", "-1", "(-1) : 1"),
+])
+def test_degree_list_may_start_negative(capsys, command, degrees, last_line):
+    outputs = set()
+    for argv in ([command, degrees], [command, "--", degrees],
+                 [command, degrees, "--json"], [command, "--json", degrees],
+                 [command, "--json", "--", degrees]):
+        assert run(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.add(captured.out)
+    # one text and one JSON rendering, whatever the argument order
+    text, = [out for out in outputs if not out.startswith("{")]
+    assert text.splitlines()[-1] == last_line
+    assert len(outputs) == 2
+    assert run([command, "-1,x"]) == 1
+    assert capsys.readouterr().err == (
+        "error: degrees must be an integer, got 'x'\n")
+
+
 def test_misnamed_json_key_is_reported_by_name(tmp_path, capsys):
     obj = {"kind": "bigraded", "entries": [{"i": 0, "a": [0, 0], "b": "1"}]}
     path = _write(tmp_path, "badkey.json", obj)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from betticone import (
     CollapsedSurvivor,
     ESPlan,
-    InternalInconsistency,
     NoCollapsibleWindow,
     NonIncreasingDegrees,
     collapse_step,
@@ -117,7 +116,7 @@ def test_es_ranks_no_gaps_is_koszul():
 
 def test_twist_table_survivors_are_degree_rows():
     p = es_plan([0, 3, 5, 6])
-    rows = twist_table(p).rows
+    rows = twist_table(p)
     assert [r.t for r in rows] == list(range(7))
     assert [r.t for r in rows if r.survivor] == [0, 3, 5, 6]
     # non-survivors sit in the vanishing window of some factor
@@ -128,7 +127,7 @@ def test_twist_table_survivors_are_degree_rows():
 
 
 def test_twist_table_twists_decrease_by_one():
-    rows = twist_table(es_plan([0, 3, 5, 6])).rows
+    rows = twist_table(es_plan([0, 3, 5, 6]))
     for a, b in zip(rows, rows[1:]):
         assert all(eb == ea - 1 for ea, eb in zip(a.twists, b.twists))
 
@@ -201,8 +200,30 @@ def test_es_ranks_integer_multiple_property(rest):
                                minimal.multiplicities))
 
 
-def test_plan_with_mismatched_gaps_is_an_internal_inconsistency():
-    plan = es_plan([0, 3, 5, 6])
-    with pytest.raises(InternalInconsistency):
-        ESPlan(plan.degrees, plan.gaps + (1,), plan.factors,
-               plan.ambient_vars)
+@given(st.lists(st.integers(min_value=-8, max_value=12),
+                min_size=1, max_size=6, unique=True),
+       st.integers(min_value=-20, max_value=20))
+@settings(max_examples=150)
+def test_plan_is_derived_from_the_degrees(values, shift):
+    degs = sorted(values)
+    p = ESPlan(degs)
+    zeroed = [d - degs[0] for d in degs]
+    n = len(degs) - 1
+    assert list(p.degrees) == zeroed
+    assert p.ambient_vars == zeroed[-1]
+    assert sum(p.gaps) == p.ambient_vars - n
+    # one factor per positive gap, paired with the degree that opens it
+    assert p.factors == tuple((b - a - 1, a)
+                              for a, b in zip(zeroed, zeroed[1:])
+                              if b - a > 1)
+    rows = twist_table(p)
+    assert [r.t for r in rows] == list(range(p.ambient_vars + 1))
+    for r in rows:
+        in_window = any(-m <= e <= -1
+                        for (m, _), e in zip(p.factors, r.twists))
+        assert r.survivor == (r.t in zeroed) == (not in_window)
+    moved = es_plan([d + shift for d in degs])
+    assert moved.gaps == p.gaps and moved.factors == p.factors
+    assert [(r.t, r.twists, r.survivor) for r in twist_table(moved)] == \
+        [(r.t, r.twists, r.survivor) for r in rows]
+    assert es_ranks(moved).multiplicities == es_ranks(p).multiplicities
