@@ -303,12 +303,10 @@ def graph_to_dot(graph):
         weight, _ = graph.vertices[alpha]
         name = f"\"{alpha[0]},{alpha[1]}\""
         lines.append(f"  {name} [label=\"({alpha[0]},{alpha[1]}):{weight}\"];")
-    for u, w in graph.x_edges:
-        lines.append(f"  \"{u[0]},{u[1]}\" -- \"{w[0]},{w[1]}\""
-                     " [style=solid];")
-    for u, w in graph.y_edges:
-        lines.append(f"  \"{u[0]},{u[1]}\" -- \"{w[0]},{w[1]}\""
-                     " [style=dashed];")
+    for edges, style in ((graph.x_edges, "solid"), (graph.y_edges, "dashed")):
+        for u, w in edges:
+            lines.append(f"  \"{u[0]},{u[1]}\" -- \"{w[0]},{w[1]}\""
+                         f" [style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

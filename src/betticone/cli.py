@@ -243,9 +243,10 @@ def _verdict_lines(verdict):
     return lines
 
 
-def _failures_json(verdict):
-    return [{"kind": kind, "subject": subject, "detail": detail}
-            for kind, subject, detail in verdict.failures]
+def _verdict_json(verdict):
+    return {"verdict": verdict.verdict,
+            "failures": [{"kind": kind, "subject": subject, "detail": detail}
+                         for kind, subject, detail in verdict.failures]}
 
 
 def cmd_bigraded_check(args):
@@ -254,8 +255,7 @@ def cmd_bigraded_check(args):
     if args.dot:
         _write_dot(args.dot, verdict)
     if args.json:
-        _print_json({"verdict": verdict.verdict,
-                     "failures": _failures_json(verdict)})
+        _print_json(_verdict_json(verdict))
     else:
         print("\n".join(_verdict_lines(verdict)))
     return 0
@@ -302,8 +302,7 @@ def cmd_resolve(args):
     if args.json:
         obj = bigraded_to_json_obj(table)
         if args.check:
-            obj["verdict"] = verdict.verdict
-            obj["failures"] = _failures_json(verdict)
+            obj.update(_verdict_json(verdict))
         _print_json(obj)
     else:
         print("\n".join(_betti_lines(table)))
@@ -329,16 +328,16 @@ def build_parser():
     def with_json(p):
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
+        # argparse reads a token that starts with "-" as an option unless
+        # it matches this pattern, which by default takes single numbers
+        # only; no leaf parser has an option that starts "-<digit>", so a
+        # list like -2,0,1 or -1/2,1 is a value in every one of them.
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         return p
 
     def degree_list(p):
         p.add_argument("degrees", help="comma-separated strictly "
                        "increasing integers, e.g. 0,1,3,5")
-        # argparse reads a token that starts with "-" as an option unless
-        # it matches this pattern, which by default takes single numbers
-        # only; these parsers have no option that starts "-<digit>", so a
-        # list like -2,0,1 is their positional.
-        p._negative_number_matcher = re.compile(r"^-\.?\d")
         return p
 
     p = degree_list(with_json(sub.add_parser(

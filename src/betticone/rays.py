@@ -205,7 +205,7 @@ def seed_catalogue():
 
 
 def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
-    """All distinct certified-extremal rays with support in the box.
+    """The certified rays of the catalogue with support in the box.
 
     Candidates are the tables of the staircase regions inside
     [0, B1) x [0, B2), which are exactly the finite length monomial
@@ -213,7 +213,8 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     pruned_regions walks them, plus the presentation seeds from the
     catalogue.  Certified tables are returned gcd-normalized, one per
     scalar class, sorted by their canonical keys, each with its
-    entries in that sorted order.
+    entries in that sorted order.  A module outside the catalogue can
+    have a certified table in the box that is not listed.
 
     Only the seed tables are checked against the box and go through
     the certificate.  A region the walk yields is nonempty, its table

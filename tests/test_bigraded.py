@@ -33,6 +33,7 @@ from betticone import (
     KPolynomial,
     MonomialPair,
     NotFiniteLength,
+    PresentationMatrix,
     bigraded_betti,
     check_extremality_certificate,
     coker_presentation,
@@ -408,6 +409,36 @@ def test_seed_catalogue_contains_heart_presentation():
     t = bigraded_betti(coker_presentation(pm))
     assert check_extremality_certificate(t).verdict == CERT_EXTREMAL
     assert len(t.entries) == 8
+
+
+# Generators e1 at (0,1) and e2 at (1,0); relations y*e1, y^3*e2,
+# x^2*e1 + xy*e2 and x^2*e2.  No staircase region and no catalogue seed
+# gives its table.
+S4 = PresentationMatrix(
+    rows=[(0, 1), (1, 0)],
+    cols=[(0, 2), (1, 3), (2, 1), (3, 0)],
+    entries=[
+        [[(1, (0, 1))], [], [(1, (2, 0))], []],
+        [[], [(1, (0, 3))], [(1, (1, 1))], [(1, (2, 0))]],
+    ])
+
+
+def test_s4_table_is_certified_and_fits_box_three():
+    t = bigraded_betti(coker_presentation(S4))
+    assert dict(t.entries) == {
+        (0, (0, 1)): 1, (0, (1, 0)): 1,
+        (1, (0, 2)): 1, (1, (1, 3)): 1, (1, (2, 1)): 1, (1, (3, 0)): 1,
+        (2, (2, 3)): 1, (2, (3, 2)): 1,
+    }
+    assert check_extremality_certificate(t).verdict == CERT_EXTREMAL
+
+
+@pytest.mark.xfail(strict=True, reason="the listing holds the certified "
+                   "rays of the catalogue, which lacks the S4 seed "
+                   "(ROADMAP item 3)")
+def test_s4_table_is_listed_at_box_three():
+    key = bigraded_betti(coker_presentation(S4)).canonical_key()
+    assert key in {t.canonical_key() for t in enumerate_box_rays((3, 3))}
 
 
 def _upward_closure(gens, box):

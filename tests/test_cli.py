@@ -791,6 +791,37 @@ def test_fuzzed_argv_never_escapes(fuzz_dir, data):
     assert "Traceback" not in err, argv
 
 
+# Complete command lines: the words before the values, then each value
+# with its own strategy.  Lists may start with a negative number.
+_SIGNED_FRACS = st.lists(st.sampled_from(["0", "1", "2", "-1", "1/2",
+                                          "-1/2", "3/2", "1/0"]),
+                         min_size=1, max_size=5).map(",".join)
+_WELL_FORMED = [
+    (["hk"], [_INTS]), (["es-plan"], [_INTS]),
+    (["local", "check"], [_SIGNED_FRACS]),
+    (["local", "coeffs"], [_SIGNED_FRACS]),
+    (["local", "limit"], ["--i", _INT, "--j", _INT, "--n", _INT]),
+    (["bigraded", "rays"], ["--box", _INTS]),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_well_formed_argv_is_never_a_usage_error(data):
+    """A valid command reaches the library: exit 0, or 1 with an error
+    line, never 2.  --json goes right after the subcommand words or at
+    the end; between `local` and `check` it is a usage error."""
+    words, values = data.draw(st.sampled_from(_WELL_FORMED))
+    values = [v if isinstance(v, str) else data.draw(v) for v in values]
+    json_at = data.draw(st.sampled_from([None, "after words", "at end"]))
+    argv = (words + ["--json"] * (json_at == "after words") + values
+            + ["--json"] * (json_at == "at end"))
+    code, err = _run_quietly(argv)
+    assert code in (0, 1), (argv, code, err)
+    if code == 1:
+        assert err.startswith("error: "), (argv, err)
+
+
 _JSON_LEAVES = (st.none() | st.booleans() | _SMALL | _WORDS
                 | st.sampled_from([0.5, 2.0, -1.5, float("nan"),
                                    float("inf"), float("-inf"), "1",

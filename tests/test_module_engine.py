@@ -28,10 +28,15 @@ from betticone import (
     NotFiniteLength,
     PresentationMatrix,
     bigraded_betti,
+    coarsen,
     coker_presentation,
+    decompose_graded,
     dual_module,
+    enumerate_box_rays,
     generic_rank,
+    is_in_local_cone,
     kernel_generator_degrees,
+    local_from_graded,
     module_from_json_obj,
     monomial_quotient,
     seed_catalogue,
@@ -1276,3 +1281,46 @@ def test_trusted_cokernels_and_duals_pass_the_public_constructor():
         _rebuilt_publicly(dual_module(module))
     empty = PresentationMatrix(rows=[], cols=[], entries=[])
     _rebuilt_publicly(coker_presentation(empty))
+
+
+def _coarsened_parts(table):
+    """Run a bigraded table through the other two contexts: its total
+    grading (tables.coarsen) must split completely into pure tables
+    over two variables, and the column sums must lie inside the open
+    local cone.  Returns the number of pure parts."""
+    graded = coarsen(table)
+    dec = decompose_graded(graded)
+    assert dec.is_complete(), dict(table.entries)
+    assert is_in_local_cone(local_from_graded(graded)).is_inside(), \
+        dict(table.entries)
+    return len(dec.parts)
+
+
+# Listed rays per square box, and how many of them coarsen to one pure
+# table: most bigraded extremal rays stop being extremal in the total
+# grading.
+PURE_AFTER_COARSENING = {3: (75, 24), 4: (441, 60), 5: (2698, 123)}
+
+
+@pytest.mark.parametrize("box", sorted(PURE_AFTER_COARSENING))
+def test_listed_rays_coarsen_into_the_graded_and_local_cones(box):
+    rays = enumerate_box_rays((box, box))
+    pure = sum(_coarsened_parts(t) == 1 for t in rays)
+    assert (len(rays), pure) == PURE_AFTER_COARSENING[box]
+
+
+def test_finite_modules_coarsen_into_the_graded_and_local_cones():
+    """A finite length bigraded module is a graded one whose minimal
+    resolution is the coarsened bigraded one, so each table below is
+    a graded Betti table and must decompose.  The zero module's empty
+    table sits on the local cone's boundary and is left out."""
+    heart = coker_presentation(HEART)
+    tables = [bigraded_betti(heart), bigraded_betti(dual_module(heart))]
+    rng = random.Random(909)
+    for k in range(1500):
+        module = coker_presentation(_random_presentation(rng, k % 2 == 1))
+        tables.append(bigraded_betti(module))
+    nonzero = [t for t in tables if t.entries]
+    assert len(nonzero) == 1474
+    for t in nonzero:
+        _coarsened_parts(t)
