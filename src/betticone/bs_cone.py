@@ -114,7 +114,9 @@ def decompose_graded(t):
         if any(a >= b for a, b in zip(degrees, degrees[1:])):
             stuck(f"minimal degrees {degrees} are not strictly "
                   "increasing; greedy chain stuck", parts)
-        pure = hk_pure_table(degrees)
+        # The degrees are the table's int degrees, checked just above
+        # to strictly increase.
+        pure = hk_pure_table(DegreeSequence._trusted(tuple(degrees)))
         keys = list(enumerate(degrees))
         mult = pure.multiplicities
         # The coefficient is min_i work_i / b_i, compared by

@@ -10,7 +10,10 @@ table survives exactly when no factor twist d_{i-1} - t lies in that
 factor's vanishing window -m_i <= e <= -1, which happens for t in
 {d_0, ..., d_n}.  The surviving rank is a binomial times a product of
 line bundle cohomology dimensions; no differentials are computed here,
-only twists, survivors, and ranks.
+only twists, survivors, and ranks.  es_ranks takes those dimensions
+from the closed form behind line_bundle_cohomology without its
+argument checks, since a plan's factors are ints with m > 0 by
+construction.
 """
 
 from math import comb
@@ -39,6 +42,11 @@ def line_bundle_cohomology(m, e):
     e = integral(e, "twist")
     if m < 0:
         raise ValueError("projective space dimension must be >= 0")
+    return _cohomology(m, e)
+
+
+def _cohomology(m, e):
+    """line_bundle_cohomology for ints m >= 0 and e, unchecked."""
     if m == 0:
         return (1, 0)
     if in_vanishing_window(m, e):
@@ -61,7 +69,8 @@ class ESPlan:
     def __init__(self, degrees):
         d = as_degree_sequence(degrees)
         if d[0] != 0:
-            d = DegreeSequence([x - d[0] for x in d])
+            # A translate of a checked sequence still strictly increases.
+            d = DegreeSequence._trusted(tuple([x - d[0] for x in d]))
         degs = d.degrees
         self.degrees = d
         self.gaps = tuple(b - a - 1 for a, b in zip(degs, degs[1:]))
@@ -130,16 +139,20 @@ def es_ranks(p):
     mults = []
     for k, dk in enumerate(degs):
         rank = comb(p.ambient_vars, dk)
+        # The plan's factors have ints m > 0 and base, so the closed
+        # form needs no argument checks.
         for m, base in p.factors:
             e = base - dk
-            h0, htop = line_bundle_cohomology(m, e)
+            h0, htop = _cohomology(m, e)
             if not (h0 or htop):
                 raise CollapsedSurvivor(
                     f"survivor row d_{k}={dk} hits the vanishing window "
                     f"of a P^{m} factor (twist {e})")
             rank *= h0 or htop
         mults.append(rank)
-    return PureTable(p.degrees, mults)
+    # Each rank is C(d_n, d_k) > 0 (0 <= d_k <= d_n) times positive
+    # cohomology counts; a zero count raised CollapsedSurvivor above.
+    return PureTable._trusted(p.degrees, tuple(mults))
 
 
 def collapse_step(twists, m, k):

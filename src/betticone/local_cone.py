@@ -12,17 +12,24 @@ are strictly positive (partial Euler characteristics).  The s_i double
 as the ray coefficients: v = sum c_i rho_i with c_i = s_{i+1}.  The
 cone is open, so rays are approached but never reached; limit_table
 builds the pure-table witnesses that converge to each ray.
+
+Column sums and back partial sums run on integer numerators over the
+lcm of the denominators and return exact Fractions.  The vectors the
+module builds itself skip the constructor's checks; a table over no
+variables is still refused, since nvars = 0 is a legal table.
 """
 
 from fractions import Fraction
 
 from .bigraded import integral
 from .errors import DegenerateSequence, NotOnHyperplane
-from .tables import DegreeSequence, hk_pure_table
+from .tables import DegreeSequence, clear_denominators, hk_pure_table
 
 INSIDE = "Inside"
 BOUNDARY = "Boundary"
 OUTSIDE = "Outside"
+
+_TOO_SHORT = "need at least beta_0 and beta_1 (dim >= 1)"
 
 
 class LocalBettiVector:
@@ -34,10 +41,20 @@ class LocalBettiVector:
         vals = tuple(v if type(v) is Fraction else Fraction(v)
                      for v in entries)
         if len(vals) < 2:
-            raise ValueError("need at least beta_0 and beta_1 (dim >= 1)")
+            raise ValueError(_TOO_SHORT)
         if any(v < 0 for v in vals):
             raise ValueError("Betti numbers are nonnegative")
         self.entries = vals
+
+    @classmethod
+    def _trusted(cls, entries):
+        """A vector over a tuple already in the form __init__ produces:
+        at least two nonnegative Fractions.  It skips every check, so
+        only library code whose entries have that form by construction
+        calls it, and says why at the call."""
+        vec = cls.__new__(cls)
+        vec.entries = entries
+        return vec
 
     @property
     def n(self):
@@ -103,14 +120,16 @@ class LocalVerdict:
 
 def _back_partial_sums(v):
     """s_i = sum_{k=i}^{n} (-1)^(k-i) beta_k for i = n down to 0, of v
-    read as a LocalBettiVector."""
+    read as a LocalBettiVector; the sums run on the numerators over
+    the lcm m of the denominators, and each s_i is its sum over m."""
     if not isinstance(v, LocalBettiVector):
         v = LocalBettiVector(v)
+    numerators, m = clear_denominators(dict(enumerate(v.entries)))
     sums = []
-    acc = Fraction(0)
-    for beta in reversed(v.entries):
-        acc = beta - acc
-        sums.append(acc)
+    acc = 0
+    for k in reversed(range(len(v.entries))):
+        acc = numerators[k] - acc
+        sums.append(Fraction(acc, m))
     sums.reverse()
     return sums  # sums[i] = s_i, including i = 0 (the alternating total)
 
@@ -151,11 +170,19 @@ def local_ray_coefficients(v):
 
 
 def local_from_graded(t):
-    """Column sums of a graded table: beta_i = sum_j beta_{i,j}."""
-    vals = [Fraction(0)] * (t.nvars + 1)
-    for (i, _), b in t.entries.items():
-        vals[i] += b
-    return LocalBettiVector(vals)
+    """Column sums of a graded table: beta_i = sum_j beta_{i,j}, summed
+    on the numerators over the lcm m of the entries' denominators."""
+    if t.nvars < 1:
+        # nvars = 0 is a legal table, so this is the one check of the
+        # vector that the table does not give.
+        raise ValueError(_TOO_SHORT)
+    numerators, m = clear_denominators(t.entries)
+    sums = [0] * (t.nvars + 1)
+    for (i, _), c in numerators.items():
+        sums[i] += c
+    # Entries are positive and 0 <= i <= nvars, so the nvars + 1 sums
+    # are nonnegative.
+    return LocalBettiVector._trusted(tuple([Fraction(c, m) for c in sums]))
 
 
 def limit_degrees(i, j, n):
@@ -168,8 +195,9 @@ def limit_degrees(i, j, n):
         raise ValueError(f"ray index {i} outside 0..{n - 1}")
     if j < 2:
         raise DegenerateSequence("limit sequences need j >= 2")
-    return DegreeSequence(
-        [k * j if k <= i else (k - 1) * j + 1 for k in range(n + 1)])
+    # Ints rising by j >= 2 or by 1, as the docstring says.
+    return DegreeSequence._trusted(
+        tuple([k * j if k <= i else (k - 1) * j + 1 for k in range(n + 1)]))
 
 
 def limit_table(i, j, n):
@@ -180,10 +208,16 @@ def limit_table(i, j, n):
     O(1/j).  The bound (n+1)/j holds for n <= 4 (checked for j up to
     256) and fails from n = 5: at n = 5, i = 0, j = 2 it is 105/32.
     """
-    d = limit_degrees(i, j, n)
-    pure = hk_pure_table(d)
-    scale = Fraction(1, pure.multiplicities[i])
-    return LocalBettiVector(tuple(scale * b for b in pure.multiplicities))
+    return _limit_vector(limit_degrees(i, j, n), i)
+
+
+def _limit_vector(d, i):
+    """The pure table of a checked limit sequence d, rescaled so entry
+    i equals 1; i is an index of d."""
+    mult = hk_pure_table(d).multiplicities
+    # n + 1 >= 2 positive multiplicities (limit_degrees needs i <= n - 1).
+    return LocalBettiVector._trusted(tuple([Fraction(b, mult[i])
+                                            for b in mult]))
 
 
 def sup_distance(u, v):

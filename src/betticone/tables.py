@@ -16,10 +16,17 @@ divisibility by (1-t)^n is the same finite length condition in
 generating function form.
 
 The graded layer clears denominators once per table and then computes
-in plain integers: the Herzog-Kuhl test, the numerator and the greedy
-of bs_cone work on the numerators over the lcm of the entries'
-denominators, and the pure multiplicities come from integer products
-of degree differences.  Entries and results stay exact Fractions.
+in plain integers: the Herzog-Kuhl test, the numerator, the greedy of
+bs_cone and the column sums and back partial sums of local_cone work
+on the numerators over the lcm of the denominators, and the pure
+multiplicities come from integer products of degree differences.
+Entries and results stay exact Fractions.
+
+The layer builds its own values unchecked: DegreeSequence, PureTable
+and HilbertNumerator (and local_cone's LocalBettiVector) have a
+_trusted constructor for values whose form follows from how the
+library made them, and each call says why.  The public constructors
+keep every check for other callers.
 """
 
 from fractions import Fraction
@@ -41,6 +48,16 @@ class DegreeSequence:
         if any(a >= b for a, b in zip(degs, degs[1:])):
             raise NonIncreasingDegrees("degrees must be strictly increasing")
         self.degrees = degs
+
+    @classmethod
+    def _trusted(cls, degrees):
+        """A sequence over a tuple already in the form __init__ produces:
+        nonempty, strictly increasing ints.  It skips every check, so
+        only library code whose degrees have that form by construction
+        calls it, and says why at the call."""
+        seq = cls.__new__(cls)
+        seq.degrees = degrees
+        return seq
 
     @property
     def n(self):
@@ -161,6 +178,17 @@ class PureTable:
             raise ValueError("multiplicities must be positive integers")
         self.multiplicities = mult
 
+    @classmethod
+    def _trusted(cls, degrees, multiplicities):
+        """A pure table over a DegreeSequence and a tuple of positive
+        ints, one per degree.  It skips every check, so only library
+        code whose values have that form by construction calls it, and
+        says why at the call."""
+        pure = cls.__new__(cls)
+        pure.degrees = degrees
+        pure.multiplicities = multiplicities
+        return pure
+
     def to_graded(self, nvars=None):
         if nvars is None:
             nvars = self.degrees.n
@@ -204,7 +232,24 @@ class HilbertNumerator:
             c = integral(c, f"coefficient of t^{j}")
             if c:
                 clean[j] = c
-        g = gcd(scale, *map(abs, clean.values())) if clean else scale
+        self._set_lowest_terms(clean, scale)
+
+    @classmethod
+    def _trusted(cls, coefficients, scale):
+        """A numerator over int coefficients and a positive int scale.
+        It skips the integer checks, so only library code whose values
+        have that form by construction calls it, and says why at the
+        call; zero coefficients are still dropped and the gcd divided
+        out, so equal numerators stay equal as data."""
+        h = cls.__new__(cls)
+        h._set_lowest_terms({j: c for j, c in coefficients.items() if c},
+                            scale)
+        return h
+
+    def _set_lowest_terms(self, clean, scale):
+        """Nonzero int coefficients over a positive scale, divided by
+        the gcd of all of them and the scale."""
+        g = gcd(scale, *clean.values())
         self.coefficients = {j: c // g for j, c in clean.items()}
         self.scale = scale // g
 
@@ -275,7 +320,9 @@ def hk_pure_table(d):
     products = [abs(prod([di - dl for dl in degs if dl != di]))
                 for di in degs]
     m = lcm(*products)
-    return PureTable(d, tuple(m // p for p in products))
+    # The degrees strictly increase, so every P_i is a positive int and
+    # so is every lcm(P) / P_i.
+    return PureTable._trusted(d, tuple([m // p for p in products]))
 
 
 def check_hk_equations(t):
@@ -305,7 +352,9 @@ def hilbert_numerator(t):
     are folded; the clearing factor is kept on the result as .scale.
     """
     numerators, m = clear_denominators(t.entries)
-    return HilbertNumerator(signed_fold(numerators), m)
+    # signed_fold of int numerators gives int coefficients, over the
+    # positive lcm m of the entries' denominators.
+    return HilbertNumerator._trusted(signed_fold(numerators), m)
 
 
 def is_finite_length_numerator(h, nvars):

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 from betticone import (
     CollapsedSurvivor,
+    DegreeSequence,
     ESPlan,
     NoCollapsibleWindow,
     NonIncreasingDegrees,
+    PureTable,
     collapse_step,
     es_plan,
     es_ranks,
@@ -227,3 +229,35 @@ def test_plan_is_derived_from_the_degrees(values, shift):
     assert [(r.t, r.twists, r.survivor) for r in twist_table(moved)] == \
         [(r.t, r.twists, r.survivor) for r in rows]
     assert es_ranks(moved).multiplicities == es_ranks(p).multiplicities
+
+
+@given(st.lists(st.integers(min_value=-8, max_value=20),
+                min_size=1, max_size=7, unique=True))
+@settings(max_examples=300)
+def test_trusted_plans_and_ranks_pass_the_public_constructors(values):
+    """ESPlan translates a checked sequence and es_ranks multiplies the
+    closed form without re-checking either; the public constructors
+    must rebuild both exactly, and the ranks must be the products of
+    the public line_bundle_cohomology values."""
+    degs = sorted(values)
+    p = es_plan(degs)
+    d = p.degrees
+    assert type(d) is DegreeSequence and type(d.degrees) is tuple
+    assert all(type(x) is int for x in d.degrees)
+    rebuilt = DegreeSequence(d.degrees)
+    assert rebuilt == d and repr(rebuilt.degrees) == repr(d.degrees)
+    assert list(d) == [x - degs[0] for x in degs]
+    ranks = es_ranks(p)
+    assert ranks.degrees is d and type(ranks.multiplicities) is tuple
+    assert all(type(b) is int for b in ranks.multiplicities)
+    rebuilt = PureTable(d.degrees, ranks.multiplicities)
+    assert rebuilt == ranks
+    assert repr(rebuilt.multiplicities) == repr(ranks.multiplicities)
+    want = []
+    for dk in d:
+        rank = comb(p.ambient_vars, dk)
+        for m, base in p.factors:
+            h0, htop = line_bundle_cohomology(m, base - dk)
+            rank *= h0 or htop
+        want.append(rank)
+    assert list(ranks.multiplicities) == want

@@ -8,6 +8,7 @@ degree gap.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from betticone import (
     OUTSIDE,
     DegenerateSequence,
     DegreeSequence,
+    GradedBettiTable,
     LocalBettiVector,
     NotOnHyperplane,
     hk_pure_table,
@@ -31,6 +33,7 @@ from betticone import (
     ray_vector,
     sup_distance,
 )
+from betticone.local_cone import _back_partial_sums
 
 
 def test_membership_reads_a_plain_list_as_a_betti_vector():
@@ -240,3 +243,103 @@ def test_limit_tables_stay_inside_the_cone(i, j, n):
         return
     v = limit_table(i, j, n)
     assert is_in_local_cone(v).verdict == INSIDE
+
+
+# The library sums in ints over the lcm of the denominators and builds
+# its vectors without re-checking them.  These are the Fraction routes
+# it replaced, kept as an independent reference.
+
+def _fraction_local_from_graded(t):
+    vals = [Fraction(0)] * (t.nvars + 1)
+    for (i, _), b in t.entries.items():
+        vals[i] += b
+    return LocalBettiVector(vals)
+
+
+def _fraction_back_partial_sums(v):
+    sums = []
+    acc = Fraction(0)
+    for beta in reversed(LocalBettiVector(v).entries):
+        acc = beta - acc
+        sums.append(acc)
+    sums.reverse()
+    return sums
+
+
+def _vector_rebuilt_publicly(v):
+    """The public constructor accepts a vector the library built, and
+    rebuilds the very same entries, Fractions included."""
+    assert type(v) is LocalBettiVector and type(v.entries) is tuple
+    assert all(type(b) is Fraction for b in v.entries)
+    rebuilt = LocalBettiVector(v.entries)
+    assert rebuilt == v and repr(rebuilt.entries) == repr(v.entries)
+
+
+def _same_fractions(got, want):
+    assert got == want
+    assert all(type(x) is Fraction for x in got)
+
+
+_NONNEGATIVE = st.one_of(
+    st.integers(min_value=0, max_value=30),
+    st.fractions(min_value=0, max_value=30, max_denominator=12))
+
+
+@st.composite
+def _graded_tables(draw):
+    """Integer or rational entries, degrees in -8..20, nvars 1..6."""
+    nvars = draw(st.integers(min_value=1, max_value=6))
+    return GradedBettiTable(nvars, draw(st.dictionaries(
+        st.tuples(st.integers(min_value=0, max_value=nvars),
+                  st.integers(min_value=-8, max_value=20)),
+        _NONNEGATIVE, max_size=12)))
+
+
+@given(_graded_tables())
+@settings(max_examples=300)
+def test_column_sums_match_the_fraction_route(t):
+    v = local_from_graded(t)
+    _vector_rebuilt_publicly(v)
+    assert v.n == t.nvars
+    assert v == _fraction_local_from_graded(t)
+    _same_fractions(_back_partial_sums(v), _fraction_back_partial_sums(v))
+
+
+@given(st.lists(_NONNEGATIVE, min_size=2, max_size=7))
+@settings(max_examples=300)
+def test_partial_sums_match_the_fraction_route(values):
+    want = _fraction_back_partial_sums(values)
+    _same_fractions(_back_partial_sums(values), want)
+    _same_fractions(_back_partial_sums(LocalBettiVector(values)), want)
+    verdict = is_in_local_cone(values)
+    _same_fractions([verdict.alternating_sum, *verdict.partial_sums], want)
+
+
+def test_column_sums_refuse_a_table_over_no_variables():
+    """nvars = 0 is a legal table, yet it has no beta_1."""
+    t = GradedBettiTable(0, {(0, 0): 1})
+    with pytest.raises(ValueError, match=re.escape(
+            "need at least beta_0 and beta_1 (dim >= 1)")):
+        local_from_graded(t)
+    with pytest.raises(ValueError, match=re.escape(
+            "need at least beta_0 and beta_1 (dim >= 1)")):
+        local_from_graded(GradedBettiTable(0, {}))
+
+
+@given(st.integers(min_value=0, max_value=5),
+       st.integers(min_value=2, max_value=40),
+       st.integers(min_value=1, max_value=6))
+@settings(max_examples=200)
+def test_trusted_limit_values_pass_the_public_constructors(i, j, n):
+    if i >= n:
+        return
+    d = limit_degrees(i, j, n)
+    assert type(d) is DegreeSequence and type(d.degrees) is tuple
+    assert all(type(x) is int for x in d.degrees)
+    rebuilt = DegreeSequence(d.degrees)
+    assert rebuilt == d and repr(rebuilt.degrees) == repr(d.degrees)
+    v = limit_table(i, j, n)
+    _vector_rebuilt_publicly(v)
+    mult = hk_pure_table(DegreeSequence(list(d))).multiplicities
+    assert v.entries == tuple(Fraction(b, mult[i]) for b in mult)
+    assert v[i] == 1

@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betticone import (
@@ -23,6 +23,7 @@ from betticone import (
     HilbertNumerator,
     KPolynomial,
     NonIncreasingDegrees,
+    NotInConeCandidate,
     PureTable,
     check_hk_equations,
     coarsen,
@@ -35,13 +36,15 @@ from betticone import (
     MonomialPair,
     bigraded_betti,
     collapse_step,
+    decompose_graded,
     line_bundle_cohomology,
     normalize_positive_integers,
     proportionality_ratio,
     pure_from_json_obj,
     pure_to_json_obj,
 )
-from betticone.tables import as_degree_sequence
+from betticone.bigraded import signed_fold
+from betticone.tables import as_degree_sequence, clear_denominators
 
 # degree sequence -> minimal positive integer multiplicities
 HK_FIXTURES = {
@@ -455,3 +458,112 @@ def test_hilbert_numerator_refuses_non_integral_values():
         HilbertNumerator({Fraction(1, 2): 1})
     h = HilbertNumerator({0: Fraction(4, 2), 1: -2.0}, Fraction(6, 3))
     assert h == HilbertNumerator({0: 1, 1: -1})
+
+
+# The library builds its own sequences, pure tables and numerators
+# without re-checking them.  The public constructors must accept each
+# such value and rebuild it exactly, element types and order included.
+
+def _sequence_rebuilt_publicly(d):
+    assert type(d) is DegreeSequence and type(d.degrees) is tuple
+    assert all(type(x) is int for x in d.degrees)
+    rebuilt = DegreeSequence(d.degrees)
+    assert rebuilt == d and repr(rebuilt.degrees) == repr(d.degrees)
+
+
+def _pure_rebuilt_publicly(p):
+    _sequence_rebuilt_publicly(p.degrees)
+    assert type(p.multiplicities) is tuple
+    assert all(type(b) is int for b in p.multiplicities)
+    rebuilt = PureTable(p.degrees.degrees, p.multiplicities)
+    assert rebuilt == p
+    assert repr(rebuilt.multiplicities) == repr(p.multiplicities)
+
+
+def _numerator_rebuilt_publicly(h):
+    assert type(h.scale) is int
+    assert all(type(j) is int and type(c) is int
+               for j, c in h.coefficients.items())
+    assert gcd(h.scale, *h.coefficients.values()) == 1
+    rebuilt = HilbertNumerator(h.coefficients, h.scale)
+    assert rebuilt == h
+    assert repr(rebuilt.coefficients) == repr(h.coefficients)
+
+
+def _table_rebuilt_publicly(t):
+    rebuilt = GradedBettiTable(t.nvars, t.entries)
+    assert rebuilt == t and repr(rebuilt.entries) == repr(t.entries)
+    assert all(type(b) is Fraction for b in t.entries.values())
+
+
+_DEGREE_SEQUENCES = st.lists(st.integers(min_value=-8, max_value=20),
+                             min_size=1, max_size=7, unique=True).map(sorted)
+_POSITIVE = st.one_of(
+    st.integers(min_value=1, max_value=9),
+    st.fractions(min_value=Fraction(1, 12), max_value=9,
+                 max_denominator=12))
+
+
+@st.composite
+def _graded_tables(draw):
+    """A table over 1..6 variables with integer or rational entries:
+    either a sum of pure tables along a chain of degree sequences that
+    starts in -8..20 (one entry raised, sometimes), which the greedy
+    takes apart, or scattered entries, which it mostly rejects."""
+    nvars = draw(st.integers(min_value=1, max_value=6))
+    if not draw(st.booleans()):
+        return GradedBettiTable(nvars, draw(st.dictionaries(
+            st.tuples(st.integers(min_value=0, max_value=nvars),
+                      st.integers(min_value=-8, max_value=20)),
+            _POSITIVE, min_size=1, max_size=12)))
+    degs = sorted(draw(st.lists(st.integers(min_value=-8, max_value=20),
+                                min_size=nvars + 1, max_size=nvars + 1,
+                                unique=True)))
+    entries = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        c = draw(_POSITIVE)
+        for key, b in _fraction_hk_pure_table(degs).to_graded().entries.items():
+            entries[key] = entries.get(key, 0) + c * b
+        cut = draw(st.integers(min_value=0, max_value=nvars))
+        degs = [d + (i >= cut) for i, d in enumerate(degs)]
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(entries)))
+        entries[key] += draw(_POSITIVE)
+    return GradedBettiTable(nvars, entries)
+
+
+@given(_DEGREE_SEQUENCES)
+@settings(max_examples=300)
+def test_trusted_pure_tables_pass_the_public_constructor(degs):
+    pure = hk_pure_table(degs)
+    _pure_rebuilt_publicly(pure)
+    assert pure == _fraction_hk_pure_table(degs)
+    assert hk_pure_table(DegreeSequence(degs)) == pure
+
+
+@given(_graded_tables())
+# The fold cancels to (1/3) t^0: the gcd 2 of numerator and scale goes.
+@example(GradedBettiTable(1, {(0, 0): Fraction(1, 2),
+                              (1, 0): Fraction(1, 6)}))
+# The fold cancels at t^0 and the zero coefficient is dropped.
+@example(GradedBettiTable(1, {(0, 0): Fraction(1, 2),
+                              (1, 0): Fraction(1, 2), (1, 1): 3}))
+@settings(max_examples=300)
+def test_trusted_graded_values_pass_the_public_constructors(t):
+    h = hilbert_numerator(t)
+    _numerator_rebuilt_publicly(h)
+    numerators, m = clear_denominators(t.entries)
+    assert h == HilbertNumerator(signed_fold(numerators), m)
+    assert h == _fraction_hilbert_numerator(t)
+    try:
+        dec = decompose_graded(t)
+    except NotInConeCandidate as exc:
+        dec = exc.decomposition
+        assert not dec.is_complete()
+    for c, pure in dec.parts:
+        assert type(c) is Fraction and c > 0
+        _pure_rebuilt_publicly(pure)
+        assert pure == _fraction_hk_pure_table(pure.degrees)
+    _table_rebuilt_publicly(dec.residual)
+    assert dec.residual.nvars == t.nvars
+    assert dec.resum() == t
