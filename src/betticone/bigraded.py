@@ -111,6 +111,16 @@ class KPolynomial:
             if c:
                 self.coefficients[alpha] = c
 
+    @classmethod
+    def _trusted(cls, coefficients):
+        """A polynomial over a dict from int bidegree tuples to int
+        coefficients.  It skips the integer checks, so only library
+        code whose values have that form by construction calls it, and
+        says why at the call; zero coefficients are still dropped."""
+        k = cls.__new__(cls)
+        k.coefficients = {alpha: c for alpha, c in coefficients.items() if c}
+        return k
+
     def __eq__(self, other):
         if isinstance(other, KPolynomial):
             return self.coefficients == other.coefficients
@@ -203,7 +213,9 @@ def signed_fold(entries):
 
 def k_polynomial(t):
     """K(s1, s2) = sum_i sum_alpha (-1)^i beta_{i,alpha} s^alpha."""
-    return KPolynomial(signed_fold(t.entries))
+    # A table's counts are ints at int bidegree tuples, so the fold has
+    # int coefficients at int exponents.
+    return KPolynomial._trusted(signed_fold(t.entries))
 
 
 def finite_length_check(k):

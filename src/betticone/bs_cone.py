@@ -15,7 +15,7 @@ from math import gcd
 
 from .errors import NotInConeCandidate
 from .tables import (DegreeSequence, GradedBettiTable, _hk_holds,
-                     clear_denominators, hk_pure_table)
+                     hk_pure_table)
 
 
 class Decomposition:
@@ -81,15 +81,16 @@ def decompose_graded(t):
     input fails a precondition or the greedy chain gets stuck with a
     nonzero residual.
 
-    The HK test and the greedy run on integer numerators over one
-    common scale: the entries are cleared once, and a step whose
-    coefficient has a new denominator multiplies them and the scale.
+    The HK test and the greedy run on the table's integer numerators
+    over its scale, and a step whose coefficient has a new denominator
+    multiplies them and the scale.
     """
-    work, scale = clear_denominators(t.entries)
-    if not _hk_holds(work, t.nvars):
+    if not _hk_holds(t.numerators, t.nvars):
         raise NotInConeCandidate(
             "table fails the Herzog-Kuhl equations; not a finite length "
             "candidate", Decomposition([], t))
+    # The greedy edits work in place; the table's own numerators stay.
+    work, scale = dict(t.numerators), t.scale
 
     def stuck(msg, parts):
         residual = GradedBettiTable(

@@ -13,10 +13,12 @@ as the ray coefficients: v = sum c_i rho_i with c_i = s_{i+1}.  The
 cone is open, so rays are approached but never reached; limit_table
 builds the pure-table witnesses that converge to each ray.
 
-Column sums and back partial sums run on integer numerators over the
-lcm of the denominators and return exact Fractions.  The vectors the
-module builds itself skip the constructor's checks; a table over no
-variables is still refused, since nvars = 0 is a legal table.
+Column sums run on a graded table's integer numerators over its scale,
+back partial sums on the vector's numerators over the lcm of its
+denominators, and both return exact Fractions; the verdict reads its
+signs off the int sums.  The vectors the module builds itself skip the
+constructor's checks; a table over no variables is still refused,
+since nvars = 0 is a legal table.
 """
 
 from fractions import Fraction
@@ -118,10 +120,10 @@ class LocalVerdict:
                 f" partials={[str(s) for s in self.partial_sums]})")
 
 
-def _back_partial_sums(v):
-    """s_i = sum_{k=i}^{n} (-1)^(k-i) beta_k for i = n down to 0, of v
-    read as a LocalBettiVector; the sums run on the numerators over
-    the lcm m of the denominators, and each s_i is its sum over m."""
+def _back_partial_numerators(v):
+    """(sums, m): m is the lcm of the denominators of v, read as a
+    LocalBettiVector, and sums[i] = m * s_i, a plain int, with
+    s_i = sum_{k=i}^{n} (-1)^(k-i) beta_k for i = n down to 0."""
     if not isinstance(v, LocalBettiVector):
         v = LocalBettiVector(v)
     numerators, m = clear_denominators(dict(enumerate(v.entries)))
@@ -129,9 +131,17 @@ def _back_partial_sums(v):
     acc = 0
     for k in reversed(range(len(v.entries))):
         acc = numerators[k] - acc
-        sums.append(Fraction(acc, m))
+        sums.append(acc)
     sums.reverse()
-    return sums  # sums[i] = s_i, including i = 0 (the alternating total)
+    return sums, m  # sums[0] is the alternating total, times m
+
+
+def _back_partial_sums(v):
+    """s_i = sum_{k=i}^{n} (-1)^(k-i) beta_k for i = n down to 0, of v
+    read as a LocalBettiVector: the int sums of _back_partial_numerators
+    over its m."""
+    sums, m = _back_partial_numerators(v)
+    return [Fraction(s, m) for s in sums]  # sums[i] = s_i, i = 0..n
 
 
 def is_in_local_cone(v):
@@ -142,9 +152,10 @@ def is_in_local_cone(v):
     nonnegative, at least one zero.  Outside: off the hyperplane or
     some partial sum negative.
     """
-    sums = _back_partial_sums(v)
+    sums, m = _back_partial_numerators(v)
+    # m is positive, so each m * s_i has the sign of s_i.
     total, partials = sums[0], sums[1:]
-    if total != 0:
+    if total:
         verdict = OUTSIDE
     elif all(s > 0 for s in partials):
         verdict = INSIDE
@@ -152,7 +163,8 @@ def is_in_local_cone(v):
         verdict = BOUNDARY
     else:
         verdict = OUTSIDE
-    return LocalVerdict(verdict, total, partials)
+    return LocalVerdict(verdict, Fraction(total, m),
+                        [Fraction(s, m) for s in partials])
 
 
 def local_ray_coefficients(v):
@@ -161,24 +173,24 @@ def local_ray_coefficients(v):
     Only defined on the hyperplane where the alternating sum vanishes;
     there c_i = s_{i+1}, and all c_i > 0 exactly on cone members.
     """
-    sums = _back_partial_sums(v)
-    if sums[0] != 0:
+    sums, m = _back_partial_numerators(v)
+    if sums[0]:
         raise NotOnHyperplane(
-            f"alternating sum is {sums[0]}, not 0; the rays span only "
-            "that hyperplane")
-    return list(sums[1:])
+            f"alternating sum is {Fraction(sums[0], m)}, not 0; the rays "
+            "span only that hyperplane")
+    return [Fraction(s, m) for s in sums[1:]]
 
 
 def local_from_graded(t):
     """Column sums of a graded table: beta_i = sum_j beta_{i,j}, summed
-    on the numerators over the lcm m of the entries' denominators."""
+    on the table's numerators over its scale."""
     if t.nvars < 1:
         # nvars = 0 is a legal table, so this is the one check of the
         # vector that the table does not give.
         raise ValueError(_TOO_SHORT)
-    numerators, m = clear_denominators(t.entries)
+    m = t.scale
     sums = [0] * (t.nvars + 1)
-    for (i, _), c in numerators.items():
+    for (i, _), c in t.numerators.items():
         sums[i] += c
     # Entries are positive and 0 <= i <= nvars, so the nvars + 1 sums
     # are nonnegative.

@@ -15,12 +15,13 @@ This module also carries the numerator of the Hilbert series, whose
 divisibility by (1-t)^n is the same finite length condition in
 generating function form.
 
-The graded layer clears denominators once per table and then computes
-in plain integers: the Herzog-Kuhl test, the numerator, the greedy of
-bs_cone and the column sums and back partial sums of local_cone work
-on the numerators over the lcm of the denominators, and the pure
-multiplicities come from integer products of degree differences.
-Entries and results stay exact Fractions.
+The graded layer clears a table's denominators once, in the
+GradedBettiTable constructor, and then computes in plain integers: the
+Herzog-Kuhl test, the numerator, the greedy of bs_cone and the column
+sums of local_cone read the table's numerators over its scale, the lcm
+of the denominators, and the pure multiplicities come from integer
+products of degree differences.  Entries and results stay exact
+Fractions.
 
 The layer builds its own values unchecked: DegreeSequence, PureTable
 and HilbertNumerator (and local_cone's LocalBettiVector) have a
@@ -95,9 +96,14 @@ class GradedBettiTable:
     Zero values are dropped on construction, so membership in .entries
     means a strictly positive entry.  Instances are treated as
     immutable: all operations return new tables.
+
+    The constructor also clears the denominators, once per table:
+    .scale is the lcm of the entries' denominators (1 for an empty
+    table) and .numerators maps each key of .entries to a positive int,
+    with entries[k] == Fraction(numerators[k], scale).
     """
 
-    __slots__ = ("nvars", "entries")
+    __slots__ = ("nvars", "entries", "numerators", "scale")
 
     def __init__(self, nvars, entries):
         nvars = integral(nvars, "nvars")
@@ -107,7 +113,9 @@ class GradedBettiTable:
         for (i, j), b in dict(entries).items():
             if type(b) is not Fraction:  # a Fraction is kept, not copied
                 b = Fraction(b)
-            if b < 0:
+            # A Fraction's denominator is positive, so its sign is its
+            # numerator's.
+            if b.numerator < 0:
                 raise ValueError(f"negative Betti entry at ({i},{j})")
             i = integral(i, "homological degree")
             j = integral(j, "degree")
@@ -118,6 +126,7 @@ class GradedBettiTable:
                 clean[(i, j)] = b
         self.nvars = nvars
         self.entries = clean
+        self.numerators, self.scale = clear_denominators(clean)
 
     def entry(self, i, j):
         return self.entries.get((i, j), Fraction(0))
@@ -327,7 +336,7 @@ def hk_pure_table(d):
 
 def check_hk_equations(t):
     """True iff sum_{i,j} (-1)^i j^k beta_{i,j} = 0 for 0 <= k < nvars."""
-    return _hk_holds(clear_denominators(t.entries)[0], t.nvars)
+    return _hk_holds(t.numerators, t.nvars)
 
 
 def _hk_holds(numerators, nvars):
@@ -348,13 +357,12 @@ def _hk_holds(numerators, nvars):
 def hilbert_numerator(t):
     """Numerator sum_j (sum_i (-1)^i beta_{i,j}) t^j of the Hilbert series.
 
-    Rational entries are cleared to a common denominator before they
-    are folded; the clearing factor is kept on the result as .scale.
+    The table's int numerators are folded; its scale, the clearing
+    factor, is kept on the result as .scale.
     """
-    numerators, m = clear_denominators(t.entries)
     # signed_fold of int numerators gives int coefficients, over the
-    # positive lcm m of the entries' denominators.
-    return HilbertNumerator._trusted(signed_fold(numerators), m)
+    # table's positive int scale.
+    return HilbertNumerator._trusted(signed_fold(t.numerators), t.scale)
 
 
 def is_finite_length_numerator(h, nvars):

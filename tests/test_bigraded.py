@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betticone import (
@@ -785,6 +785,26 @@ def test_trusted_tables_pass_the_public_constructor():
             tripled = BigradedBettiTable(
                 {key: 3 * c for key, c in table.entries.items()})
             _rebuilt_publicly(tripled.gcd_normalized())
+
+
+@settings(max_examples=300)
+@given(_SMALL_TABLES)
+# Both homological degrees at (1, 1) cancel: the zero is dropped.
+@example(BigradedBettiTable({(0, (1, 1)): 2, (1, (1, 1)): 2,
+                             (2, (0, 3)): 1}))
+def test_trusted_k_polynomial_passes_the_public_constructor(table):
+    """k_polynomial folds without re-checking; the public constructor
+    rebuilds the same coefficients, and they equal a fold written
+    here."""
+    k = k_polynomial(table)
+    assert all(type(a) is int and type(b) is int and type(c) is int and c
+               for (a, b), c in k.coefficients.items())
+    rebuilt = KPolynomial(k.coefficients)
+    assert rebuilt == k and repr(rebuilt.coefficients) == repr(k.coefficients)
+    want = {}
+    for (i, alpha), count in table.entries.items():
+        want[alpha] = want.get(alpha, 0) + (-1) ** i * count
+    assert k.coefficients == {a: c for a, c in want.items() if c}
 
 
 def _is_subsequence(short, long):

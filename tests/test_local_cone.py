@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betticone import (
@@ -343,3 +343,52 @@ def test_trusted_limit_values_pass_the_public_constructors(i, j, n):
     mult = hk_pure_table(DegreeSequence(list(d))).multiplicities
     assert v.entries == tuple(Fraction(b, mult[i]) for b in mult)
     assert v[i] == 1
+
+
+def _fraction_verdict(v):
+    sums = _fraction_back_partial_sums(v)
+    total, partials = sums[0], sums[1:]
+    if total != 0:
+        return OUTSIDE
+    if all(s > 0 for s in partials):
+        return INSIDE
+    if all(s >= 0 for s in partials):
+        return BOUNDARY
+    return OUTSIDE
+
+
+@st.composite
+def _vectors_near_the_hyperplane(draw):
+    """sum c_i rho_i for rational c_i of either sign, zero included, so
+    Inside, Boundary and Outside all occur on the hyperplane; half the
+    time one entry is raised, which moves the vector off it."""
+    c = draw(st.lists(st.fractions(min_value=-3, max_value=9,
+                                   max_denominator=6),
+                      min_size=1, max_size=6))
+    v = [Fraction(0)] * (len(c) + 1)
+    for i, ci in enumerate(c):
+        v[i] += ci
+        v[i + 1] += ci
+    if draw(st.booleans()):
+        v[draw(st.integers(min_value=0, max_value=len(c)))] += draw(
+            st.fractions(min_value=Fraction(1, 6), max_value=3,
+                         max_denominator=6))
+    assume(all(b >= 0 for b in v))
+    return v
+
+
+@given(_vectors_near_the_hyperplane())
+@settings(max_examples=400)
+def test_integer_signs_match_the_fraction_verdict(values):
+    want = _fraction_back_partial_sums(values)
+    verdict = is_in_local_cone(values)
+    assert verdict.verdict == _fraction_verdict(values)
+    _same_fractions([verdict.alternating_sum, *verdict.partial_sums], want)
+    if want[0] != 0:
+        with pytest.raises(NotOnHyperplane) as exc:
+            local_ray_coefficients(values)
+        assert str(exc.value) == (
+            f"alternating sum is {want[0]}, not 0; the rays span only "
+            "that hyperplane")
+    else:
+        _same_fractions(local_ray_coefficients(values), want[1:])

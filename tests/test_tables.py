@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betticone import (
+    BigradedBettiTable,
     DegreeSequence,
     GradedBettiTable,
     HilbertNumerator,
@@ -38,6 +39,7 @@ from betticone import (
     collapse_step,
     decompose_graded,
     line_bundle_cohomology,
+    local_from_graded,
     normalize_positive_integers,
     proportionality_ratio,
     pure_from_json_obj,
@@ -567,3 +569,123 @@ def test_trusted_graded_values_pass_the_public_constructors(t):
     _table_rebuilt_publicly(dec.residual)
     assert dec.residual.nvars == t.nvars
     assert dec.resum() == t
+
+
+# A table clears its denominators once, in its constructor: entries[k]
+# == Fraction(numerators[k], scale), with scale the lcm of the
+# denominators.  Every way the package builds a table goes through it.
+
+def _numerators_hold(t):
+    assert type(t.scale) is int
+    assert t.scale == lcm(*(b.denominator for b in t.entries.values()))
+    assert t.numerators.keys() == t.entries.keys()
+    for key, b in t.entries.items():
+        c = t.numerators[key]
+        assert type(c) is int and c > 0
+        assert c == b * t.scale
+
+
+# Nonnegative values as ints, Fractions and rational strings.
+_RAW_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=9),
+    st.fractions(min_value=0, max_value=9, max_denominator=12),
+    st.fractions(min_value=0, max_value=9,
+                 max_denominator=12).map(str))
+
+
+@st.composite
+def _raw_tables(draw, nvars):
+    return GradedBettiTable(nvars, draw(st.dictionaries(
+        st.tuples(st.integers(min_value=0, max_value=nvars),
+                  st.integers(min_value=-8, max_value=20)),
+        _RAW_VALUES, max_size=10)))
+
+
+@given(st.data(), st.integers(min_value=0, max_value=6), _RAW_VALUES,
+       st.dictionaries(
+           st.tuples(st.integers(min_value=0, max_value=2),
+                     st.tuples(st.integers(min_value=0, max_value=4),
+                               st.integers(min_value=0, max_value=4))),
+           st.integers(min_value=0, max_value=5), max_size=8))
+@settings(max_examples=300)
+def test_every_construction_path_holds_its_numerators(data, nvars, c,
+                                                      bigraded):
+    t = data.draw(_raw_tables(nvars))
+    u = data.draw(_raw_tables(nvars))
+    _numerators_hold(t)
+    _numerators_hold(t.add(u))
+    _numerators_hold(t.scaled(c))
+    obj = graded_to_json_obj(t)
+    _numerators_hold(graded_from_json_obj(obj))
+    obj["entries"] = obj["entries"] * 2  # duplicates are summed
+    doubled = graded_from_json_obj(obj)
+    _numerators_hold(doubled)
+    assert doubled == t.scaled(2)
+    degs = sorted(data.draw(st.lists(
+        st.integers(min_value=-8, max_value=20),
+        min_size=1, max_size=nvars + 1, unique=True)))
+    _numerators_hold(hk_pure_table(degs).to_graded(nvars))
+    _numerators_hold(hk_pure_table(degs).to_graded())
+    _numerators_hold(coarsen(BigradedBettiTable(bigraded)))
+
+
+class _ClearedAgain:
+    """A table's nvars and entries with numerators and scale taken from
+    a fresh clear_denominators of the entries: what each graded call
+    fed its integer route before a table held them."""
+
+    def __init__(self, t):
+        self.nvars, self.entries = t.nvars, t.entries
+        self.numerators, self.scale = clear_denominators(t.entries)
+
+
+def _decomposition(t):
+    try:
+        return decompose_graded(t)
+    except NotInConeCandidate as exc:
+        return exc.decomposition
+
+
+@given(_graded_tables())
+@settings(max_examples=300)
+def test_held_numerators_feed_the_cleared_route(t):
+    _numerators_hold(t)
+    ref = _ClearedAgain(t)
+    assert (t.numerators, t.scale) == (ref.numerators, ref.scale)
+    held = dict(t.numerators)
+    assert check_hk_equations(t) == check_hk_equations(ref)
+    assert hilbert_numerator(t) == hilbert_numerator(ref)
+    assert local_from_graded(t) == local_from_graded(ref)
+    dec, want = _decomposition(t), _decomposition(ref)
+    assert dec.parts == want.parts
+    assert dec.residual.nvars == want.residual.nvars
+    assert dec.residual.entries == want.residual.entries
+    # The greedy works on a copy: the table's numerators are untouched.
+    assert t.numerators == held
+    _numerators_hold(dec.residual)
+    total = dec.resum()
+    _numerators_hold(total)
+    assert total == t
+
+
+@pytest.mark.parametrize("value, key", [
+    (-1, (0, 0)),
+    (Fraction(-1, 3), (1, 4)),
+    ("-1/2", (2, -3)),
+    (-0.5, (0, 7)),
+])
+def test_negative_entries_are_refused_with_their_position(value, key):
+    i, j = key
+    with pytest.raises(ValueError) as exc:
+        GradedBettiTable(2, {(0, 0): 1, key: value})
+    assert str(exc.value) == f"negative Betti entry at ({i},{j})"
+
+
+def test_zero_entries_leave_no_numerator():
+    t = GradedBettiTable(2, {(0, 0): 0, (1, 1): Fraction(0, 5), (1, 2): "0",
+                             (2, 3): "3/4", (0, 1): 2})
+    assert t.entries == {(2, 3): Fraction(3, 4), (0, 1): 2}
+    assert t.numerators == {(2, 3): 3, (0, 1): 8}
+    assert t.scale == 4
+    empty = GradedBettiTable(3, {(0, 0): 0, (1, 1): "0/7"})
+    assert (empty.entries, empty.numerators, empty.scale) == ({}, {}, 1)
