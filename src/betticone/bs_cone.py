@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NotInConeCandidate
-from .tables import (DegreeSequence, GradedBettiTable, _hk_holds,
+from .tables import (DegreeSequence, GradedBettiTable, check_hk_equations,
                      hk_pure_table)
 
 
@@ -53,22 +53,13 @@ def is_pure(t):
 
     Pure means: homological degrees run contiguously from 0, each
     carries exactly one internal degree, and those degrees strictly
-    increase.
+    increase.  So the sorted keys of a pure table read i = 0, 1, ..., n
+    in order, with j strictly increasing.
     """
-    if t.is_empty():
-        return None
-    columns = {}
-    for (i, j), _ in t.entries.items():
-        columns.setdefault(i, []).append(j)
-    pd = max(columns)
-    if set(columns) != set(range(pd + 1)):
-        return None
-    degrees = []
-    for i in range(pd + 1):
-        if len(columns[i]) != 1:
-            return None
-        degrees.append(columns[i][0])
-    if any(a >= b for a, b in zip(degrees, degrees[1:])):
+    keys = sorted(t.entries)
+    degrees = [j for _, j in keys]
+    if (not keys or [i for i, _ in keys] != list(range(len(keys)))
+            or any(a >= b for a, b in zip(degrees, degrees[1:]))):
         return None
     return DegreeSequence(degrees)
 
@@ -85,7 +76,7 @@ def decompose_graded(t):
     over its scale, and a step whose coefficient has a new denominator
     multiplies them and the scale.
     """
-    if not _hk_holds(t.numerators, t.nvars):
+    if not check_hk_equations(t):
         raise NotInConeCandidate(
             "table fails the Herzog-Kuhl equations; not a finite length "
             "candidate", Decomposition([], t))

@@ -13,12 +13,13 @@ as the ray coefficients: v = sum c_i rho_i with c_i = s_{i+1}.  The
 cone is open, so rays are approached but never reached; limit_table
 builds the pure-table witnesses that converge to each ray.
 
-Column sums run on a graded table's integer numerators over its scale,
-back partial sums on the vector's numerators over the lcm of its
-denominators, and both return exact Fractions; the verdict reads its
-signs off the int sums.  The vectors the module builds itself skip the
-constructor's checks; a table over no variables is still refused,
-since nvars = 0 is a legal table.
+Column sums run on a graded table's integer numerators over its scale.
+is_in_local_cone is the one route to the back partial sums: it sums
+the vector's numerators over the lcm of its denominators, reads its
+signs off those ints and returns exact Fractions, which
+local_ray_coefficients returns as the coefficients.  The vectors the
+module builds itself skip the constructor's checks; a table over no
+variables is still refused, since nvars = 0 is a legal table.
 """
 
 from fractions import Fraction
@@ -120,40 +121,24 @@ class LocalVerdict:
                 f" partials={[str(s) for s in self.partial_sums]})")
 
 
-def _back_partial_numerators(v):
-    """(sums, m): m is the lcm of the denominators of v, read as a
-    LocalBettiVector, and sums[i] = m * s_i, a plain int, with
-    s_i = sum_{k=i}^{n} (-1)^(k-i) beta_k for i = n down to 0."""
-    if not isinstance(v, LocalBettiVector):
-        v = LocalBettiVector(v)
-    numerators, m = clear_denominators(dict(enumerate(v.entries)))
-    sums = []
-    acc = 0
-    for k in reversed(range(len(v.entries))):
-        acc = numerators[k] - acc
-        sums.append(acc)
-    sums.reverse()
-    return sums, m  # sums[0] is the alternating total, times m
-
-
-def _back_partial_sums(v):
-    """s_i = sum_{k=i}^{n} (-1)^(k-i) beta_k for i = n down to 0, of v
-    read as a LocalBettiVector: the int sums of _back_partial_numerators
-    over its m."""
-    sums, m = _back_partial_numerators(v)
-    return [Fraction(s, m) for s in sums]  # sums[i] = s_i, i = 0..n
-
-
 def is_in_local_cone(v):
-    """Classify v against the open cone.
+    """Classify v, read as a LocalBettiVector, against the open cone.
 
     Inside: alternating sum zero and every back partial sum s_1..s_n
     strictly positive.  Boundary: on the hyperplane, all partial sums
     nonnegative, at least one zero.  Outside: off the hyperplane or
-    some partial sum negative.
+    some partial sum negative.  The verdict carries s_0, the
+    alternating sum, and s_1..s_n.
     """
-    sums, m = _back_partial_numerators(v)
-    # m is positive, so each m * s_i has the sign of s_i.
+    if not isinstance(v, LocalBettiVector):
+        v = LocalBettiVector(v)
+    numerators, m = clear_denominators(dict(enumerate(v.entries)))
+    # sums[i] = m * s_i, a plain int, summed from s_n down to s_0; m is
+    # positive, so each has the sign of s_i.
+    sums = [0] * len(numerators)
+    acc = 0
+    for k in reversed(range(len(sums))):
+        acc = sums[k] = numerators[k] - acc
     total, partials = sums[0], sums[1:]
     if total:
         verdict = OUTSIDE
@@ -173,12 +158,12 @@ def local_ray_coefficients(v):
     Only defined on the hyperplane where the alternating sum vanishes;
     there c_i = s_{i+1}, and all c_i > 0 exactly on cone members.
     """
-    sums, m = _back_partial_numerators(v)
-    if sums[0]:
+    verdict = is_in_local_cone(v)
+    if verdict.alternating_sum:
         raise NotOnHyperplane(
-            f"alternating sum is {Fraction(sums[0], m)}, not 0; the rays "
-            "span only that hyperplane")
-    return [Fraction(s, m) for s in sums[1:]]
+            f"alternating sum is {verdict.alternating_sum}, not 0; the "
+            "rays span only that hyperplane")
+    return list(verdict.partial_sums)
 
 
 def local_from_graded(t):

@@ -21,7 +21,10 @@ Herzog-Kuhl test, the numerator, the greedy of bs_cone and the column
 sums of local_cone read the table's numerators over its scale, the lcm
 of the denominators, and the pure multiplicities come from integer
 products of degree differences.  Entries and results stay exact
-Fractions.
+Fractions.  clear_denominators is the one clearing route (the table
+constructor, normalize_positive_integers and local_cone's partial sums
+go through it), and check_hk_equations is the one Herzog-Kuhl test,
+which bs_cone's greedy also calls.
 
 The layer builds its own values unchecked: DegreeSequence, PureTable
 and HilbertNumerator (and local_cone's LocalBettiVector) have a
@@ -295,17 +298,17 @@ def normalize_positive_integers(values):
     fracs = [Fraction(v) for v in values]
     if any(v <= 0 for v in fracs):
         raise ValueError("expected strictly positive values")
-    m = lcm(*(v.denominator for v in fracs))
-    ints = [int(v * m) for v in fracs]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)
+    ints, _ = clear_denominators(dict(enumerate(fracs)))
+    g = gcd(*ints.values())
+    return tuple(v // g for v in ints.values())
 
 
 def clear_denominators(entries):
-    """Integer numerators of a table's entries over one common scale.
+    """Integer numerators of a map of Fractions over one common scale.
 
-    Returns (numerators, m): m is the lcm of the entries' denominators
-    and numerators maps (i, j) -> m * beta_{i,j}, a plain int.
+    Returns (numerators, m): m is the lcm of the denominators (1 for an
+    empty map) and numerators maps each key to m times its value, a
+    plain int, in the map's order.
     """
     m = lcm(*(b.denominator for b in entries.values()))
     return {key: b.numerator * (m // b.denominator)
@@ -335,17 +338,15 @@ def hk_pure_table(d):
 
 
 def check_hk_equations(t):
-    """True iff sum_{i,j} (-1)^i j^k beta_{i,j} = 0 for 0 <= k < nvars."""
-    return _hk_holds(t.numerators, t.nvars)
+    """True iff sum_{i,j} (-1)^i j^k beta_{i,j} = 0 for 0 <= k < nvars.
 
-
-def _hk_holds(numerators, nvars):
-    """check_hk_equations on integer numerators, folded by degree into
-    c_j: step c_j <- c_j * j to the next power, stopping when all are 0."""
-    folded = signed_fold(numerators)
+    The table's int numerators are folded by degree into c_j, and each
+    step takes c_j <- c_j * j to the next power, stopping when all are 0.
+    """
+    folded = signed_fold(t.numerators)
     degrees = list(folded)
     moments = list(folded.values())
-    for _ in range(nvars):
+    for _ in range(t.nvars):
         if sum(moments):
             return False
         if not any(moments):

@@ -12,6 +12,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betticone import (
     Decomposition,
@@ -53,6 +55,51 @@ def test_is_pure_rejects_degrees_that_fall():
     # one degree per column, but column 1 sits below column 0
     t = GradedBettiTable(2, {(0, 2): 1, (1, 1): 1, (2, 3): 1})
     assert is_pure(t) is None
+
+
+def _grouping_is_pure(t):
+    """The column-grouping is_pure that the sorted pass replaced, kept
+    as an independent route."""
+    if t.is_empty():
+        return None
+    columns = {}
+    for (i, j), _ in t.entries.items():
+        columns.setdefault(i, []).append(j)
+    pd = max(columns)
+    if set(columns) != set(range(pd + 1)):
+        return None
+    degrees = []
+    for i in range(pd + 1):
+        if len(columns[i]) != 1:
+            return None
+        degrees.append(columns[i][0])
+    if any(a >= b for a, b in zip(degrees, degrees[1:])):
+        return None
+    return DegreeSequence(degrees)
+
+
+@st.composite
+def _near_pure_tables(draw):
+    """Up to nvars + 1 columns (none: the empty table) along a chain of
+    degrees that mostly rises but may stay or fall; a column holds one
+    degree, or none (a gap), or two."""
+    nvars = draw(st.integers(min_value=0, max_value=4))
+    entries = {}
+    d = draw(st.integers(min_value=-3, max_value=3))
+    for i in range(draw(st.integers(min_value=0, max_value=nvars + 1))):
+        d += draw(st.integers(min_value=-1, max_value=3))
+        for k in range(draw(st.sampled_from((1, 1, 1, 1, 0, 2)))):
+            j = d + k * draw(st.integers(min_value=1, max_value=2))
+            entries[(i, j)] = draw(st.fractions(
+                min_value=Fraction(1, 4), max_value=9, max_denominator=4))
+    return GradedBettiTable(nvars, entries)
+
+
+@given(_near_pure_tables())
+@settings(max_examples=400)
+def test_sorted_is_pure_matches_the_grouping_route(t):
+    got, want = is_pure(t), _grouping_is_pure(t)
+    assert got == want and repr(got) == repr(want)
 
 
 def test_decompose_pure_table_is_single_part():
