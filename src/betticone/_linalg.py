@@ -54,12 +54,22 @@ def insert_row(basis, row):
     its entry at the pivot is then a row of the reduced row echelon
     form of every row inserted, which is unique: it does not depend on
     the order of insertion.  The basis rows are replaced, never changed.
+
+    A basis with a pivot in every coordinate spans the whole space: its
+    rows are independent, as each is the only one nonzero at its pivot,
+    and there are as many as coordinates.  A row then lies in that span
+    and clears to zero, so it leaves the basis as it is and is not
+    cleared at all.
     """
+    if len(basis) == len(row):
+        return
     for c, p in basis.items():
         if row[c]:
             row = _cleared(row, p, c)
-    c = next((c for c, x in enumerate(row) if x), None)
-    if c is None:
+    for c, x in enumerate(row):
+        if x:
+            break
+    else:
         return
     for k, p in basis.items():
         if p[c]:

@@ -10,10 +10,11 @@ rational matrices.  Betti numbers then come out of the Koszul complex
 restricted to a single bidegree, so no Groebner machinery is needed.
 Module maps hold Fraction entries; _linalg reduces int rows only, so
 rationals are cleared here, once where they enter: the scalar grid's
-rows for the generic rank, its columns once per presentation scan,
-and each distinct stored map once per Betti table, by rows and, when
-two maps must be set side by side, by columns.  The ranks involved
-are the same for any field of characteristic zero.
+columns once per presentation scan or generic rank (the kernel scan
+takes its rank off the columns it scans), and each distinct stored map
+once per Betti table, by rows and, when two maps must be set side by
+side, by columns.  The ranks involved are the same for any field of
+characteristic zero.
 """
 
 from fractions import Fraction
@@ -245,16 +246,18 @@ class PresentationMatrix:
                 raise ValueError(f"entry row {r} has the wrong length")
             out = []
             for c, terms in enumerate(row):
+                if isinstance(terms, (list, tuple)) and not terms:
+                    out.append(ZERO)
+                    continue
                 merged = {}
                 for coeff, expo in terms:
                     expo = integral_bidegree(expo, "entry exponent")
-                    merged[expo] = merged.get(expo, Fraction(0)) \
-                        + Fraction(coeff)
+                    merged[expo] = merged.get(expo, ZERO) + Fraction(coeff)
                 merged = {e: v for e, v in merged.items() if v != 0}
-                forced = self.entry_exponent(r, c)
                 if not merged:
-                    out.append(Fraction(0))
+                    out.append(ZERO)
                     continue
+                forced = self.entry_exponent(r, c)
                 if list(merged) != [forced] or min(forced) < 0:
                     raise ValueError(
                         f"entry ({r}, {c}) must be a scalar multiple of "
@@ -275,16 +278,18 @@ def generic_rank(pm):
     s_rc * m^(col_c - row_r), so the matrix equals D_rows^-1 * S * D_cols
     where S is the scalar grid and D_rows, D_cols are the diagonal
     matrices of the monomials m^row_r and m^col_c.  Both diagonals are
-    invertible over k(x, y), hence the rank is the rank of S.
+    invertible over k(x, y), hence the rank is the rank of S, which is
+    the rank of its transpose: of the int columns.
     """
-    return rank(integer_rows(pm.scalars))
+    return rank(_integer_columns(pm))
 
 
 def _integer_columns(pm):
     """Each column of the scalar grid times the lcm of its denominators.
 
     Scaling a column changes neither the column space nor the rank of
-    any block of rows, so the scans below reduce these int columns.
+    any block of rows, so generic_rank and the scans below reduce these
+    int columns.
     """
     return integer_rows([[row[c] for row in pm.scalars]
                          for c in range(len(pm.col_degrees))])
@@ -467,6 +472,7 @@ def bigraded_betti(mod):
                 columns[id(m)] = integer_rows(transpose(m))
         return rank(columns[id(first)] + columns[id(second)])
 
+    dim, x_at, y_at = mod.dims.get, mod.mult_x.get, mod.mult_y.get
     entries = {}
     for alpha in sorted({(a + da, b + db) for a, b in mod.dims
                          for da in (0, 1) for db in (0, 1)}):
@@ -474,14 +480,12 @@ def bigraded_betti(mod):
         corner = (a - 1, b - 1)
         left = (a - 1, b)
         below = (a, b - 1)
-        d_corner = mod.dim(corner)
-        d_left = mod.dim(left)
-        d_below = mod.dim(below)
-        d_here = mod.dim(alpha)
-        r2 = joint_rank(mod.mult_y.get(corner), mod.mult_x.get(corner),
-                        d_corner, False)
-        r1 = joint_rank(mod.mult_x.get(left), mod.mult_y.get(below),
-                        d_here, True)
+        d_corner = dim(corner, 0)
+        d_left = dim(left, 0)
+        d_below = dim(below, 0)
+        d_here = dim(alpha, 0)
+        r2 = joint_rank(y_at(corner), x_at(corner), d_corner, False)
+        r1 = joint_rank(x_at(left), y_at(below), d_here, True)
         b2 = d_corner - r2
         b1 = d_left + d_below - r1 - r2
         b0 = d_here - r1
@@ -518,9 +522,11 @@ def kernel_generator_degrees(pm):
     surviving columns only: it is zero unless alpha >= lo and constant
     in a once a >= C_a (likewise in b).  So no generator lies outside
     [lo, C], and the counts over [lo, C] telescope to h(C), the columns
-    minus the rank of the whole scalar grid, which is the generic rank.
-    The completeness check below can thus only fail on an internal
-    error.  With no columns, generic rank 0 means none is expected.
+    minus the rank of the whole scalar grid, which is the generic rank:
+    the rank of the int columns the scan reduces, since a matrix and its
+    transpose have the same rank.  The completeness check below can thus
+    only fail on an internal error.  With no columns, rank 0 means none
+    is expected.
 
     The same argument inside [lo, C]: h only changes where a crosses a
     column a-coordinate or b a column b-coordinate.  So h is computed on
@@ -531,12 +537,12 @@ def kernel_generator_degrees(pm):
     surviving rows, h is the number of columns _column_spans has
     inserted minus the size of their span.
     """
-    expected = len(pm.col_degrees) - generic_rank(pm)
+    columns = _integer_columns(pm)
+    expected = len(pm.col_degrees) - rank(columns)
     if expected == 0:
         return []
     a_grid = sorted({a for a, _ in pm.col_degrees})
     b_grid = sorted({b for _, b in pm.col_degrees})
-    columns = _integer_columns(pm)
     h = [[0] * (len(b_grid) + 1)]
     for a in a_grid:
         h.append([0] + [inserted - len(basis) for inserted, basis

@@ -41,8 +41,9 @@ from betticone import (
     monomial_quotient,
     seed_catalogue,
 )
-from betticone import module_engine
+from betticone import _linalg, module_engine
 from betticone._linalg import insert_row, integer_rows, rank
+from betticone.bigraded import integral_bidegree
 from betticone.module_engine import (
     presentation_from_json_obj,
     presentation_to_json_obj,
@@ -357,6 +358,74 @@ def test_presentation_entry_exponents_are_forced():
             rows=[(0, 0)], cols=[(2, 0)],
             entries=[[[(1, (1, 0))]]],  # degree (1,0) into a (2,0) slot
         )
+
+
+def _per_cell_scalars(rows, cols, entries):
+    """The constructor's entry loop as a per-cell reference route: every
+    cell, empty or not, merges its terms and takes its forced exponent."""
+    rows = [integral_bidegree(d, "row degree") for d in rows]
+    cols = [integral_bidegree(d, "column degree") for d in cols]
+    scalars = []
+    for r, row in enumerate(entries):
+        out = []
+        for c, terms in enumerate(row):
+            merged = {}
+            for coeff, expo in terms:
+                expo = integral_bidegree(expo, "entry exponent")
+                merged[expo] = merged.get(expo, Fraction(0)) \
+                    + Fraction(coeff)
+            merged = {e: v for e, v in merged.items() if v != 0}
+            forced = (cols[c][0] - rows[r][0], cols[c][1] - rows[r][1])
+            if not merged:
+                out.append(Fraction(0))
+                continue
+            if list(merged) != [forced] or min(forced) < 0:
+                raise ValueError(
+                    f"entry ({r}, {c}) must be a scalar multiple of "
+                    f"the monomial with exponent {forced}")
+            out.append(merged[forced])
+        scalars.append(out)
+    return scalars
+
+
+def _entry(draw, forced):
+    """One presentation entry for a cell of the given forced exponent:
+    empty as a list or a tuple, a term pair that cancels, a term of the
+    wrong exponent, a "3/2" coefficient, or a plain (maybe zero) term."""
+    kind = draw(st.sampled_from(
+        ("list", "tuple", "cancel", "wrong", "half", "plain")))
+    if kind == "list":
+        return []
+    if kind == "tuple":
+        return ()
+    if kind == "cancel":
+        return [(1, forced), (-1, forced)]
+    if kind == "wrong":
+        return [(1, (forced[0] + 1, forced[1]))]
+    if kind == "half":
+        return [("3/2", forced)]
+    return [(draw(st.integers(-2, 2)), forced)]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_presentation_constructor_matches_the_per_cell_route(data):
+    degree = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    rows = data.draw(st.lists(degree, min_size=0, max_size=3))
+    cols = data.draw(st.lists(degree, min_size=0, max_size=4))
+    entries = [[_entry(data.draw, (c[0] - r[0], c[1] - r[1])) for c in cols]
+               for r in rows]
+    got = _outcome(lambda: PresentationMatrix(rows, cols, entries).scalars)
+    assert got == _outcome(lambda: _per_cell_scalars(rows, cols, entries))
+    if not isinstance(got, tuple):
+        assert all(type(v) is Fraction for row in got for v in row)
 
 
 def test_presentation_merges_and_cancels_terms():
@@ -1051,6 +1120,37 @@ def test_linalg_matches_the_fraction_route():
     assert deficient > 300
 
 
+def test_insert_row_into_a_full_span_clears_nothing(monkeypatch):
+    """A basis with a pivot in every coordinate spans the whole space:
+    a row inserted there changes neither the dict nor its row objects,
+    and is never cleared."""
+    cleared = []
+    inner = _linalg._cleared
+
+    def counted(row, p, c):
+        cleared.append(c)
+        return inner(row, p, c)
+
+    monkeypatch.setattr(_linalg, "_cleared", counted)
+    rng = random.Random(1207)
+    for n in range(5):
+        basis = {}
+        while len(basis) < n:
+            insert_row(basis, [rng.randint(-9, 9) for _ in range(n)])
+        before = dict(basis)
+        cleared.clear()
+        for _ in range(20):
+            insert_row(basis, [rng.randint(-9, 9) for _ in range(n)])
+        assert cleared == []
+        assert list(basis.items()) == list(before.items())
+        assert all(basis[c] is before[c] for c in before)
+    # one pivot short of full, the same row is cleared
+    basis = {0: [1, 0, 0], 1: [0, 1, 0]}
+    insert_row(basis, [1, 1, 0])
+    assert cleared == [0, 1]
+    assert basis == {0: [1, 0, 0], 1: [0, 1, 0]}
+
+
 def _residue_field(k):
     """x, y, x^k, y^k presenting k[x, y]/(x, y)."""
     return PresentationMatrix(
@@ -1152,16 +1252,26 @@ def test_resolve_cost_follows_the_module_not_the_degrees(k):
         .entries == _koszul_tables_at((k, 0), (0, k))
 
 
-def test_oracle_visits_the_support_not_its_hull(monkeypatch):
+class _CountedDims(dict):
+    """A dims dict that records every key looked up in it."""
+
+    def __init__(self, dims, calls):
+        super().__init__(dims)
+        self.calls = calls
+
+    def get(self, key, default=None):
+        self.calls.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.calls.append(key)
+        return super().__getitem__(key)
+
+
+def test_oracle_visits_the_support_not_its_hull():
     module = coker_presentation(_distant_pair(300))
     calls = []
-    inner = FiniteModule.dim
-
-    def counted(self, alpha):
-        calls.append(alpha)
-        return inner(self, alpha)
-
-    monkeypatch.setattr(FiniteModule, "dim", counted)
+    module.dims = _CountedDims(module.dims, calls)
     table = bigraded_betti(module)
     assert table.entries == _koszul_tables_at((0, 0), (300, 300))
     # 8 bidegrees (each support point plus (0,0), (1,0), (0,1), (1,1))
