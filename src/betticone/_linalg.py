@@ -1,5 +1,5 @@
-"""Exact linear algebra on int rows: rank and a reduced span grown one
-row at a time.
+"""Exact linear algebra on int rows: a reduced span grown one row at a
+time, and rank as the size of that span.
 
 Matrices are lists of row lists of ints.  A caller holding rationals
 clears them once, where they enter, with integer_rows: scaling a row
@@ -78,23 +78,10 @@ def insert_row(basis, row):
 
 
 def rank(rows):
-    """Rank of the int rows, by forward elimination on a copy: rows are
-    replaced, never changed, so the caller's rows stay intact."""
-    rows = list(rows)
-    nrows = len(rows)
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        if r == nrows:
-            break
-        for pick in range(r, nrows):
-            if rows[pick][c]:
-                break
-        else:
-            continue
-        p = rows[pick]
-        rows[r], rows[pick] = p, rows[r]
-        for i in range(r + 1, nrows):
-            if rows[i][c]:
-                rows[i] = _cleared(rows[i], p, c)
-        r += 1
-    return r
+    """Rank of the int rows: the size of the span insert_row builds
+    from them, which replaces rows and never changes them, so the
+    caller's rows stay intact."""
+    basis = {}
+    for row in rows:
+        insert_row(basis, row)
+    return len(basis)

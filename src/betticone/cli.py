@@ -23,8 +23,8 @@ from .bigraded import (bigraded_from_json_obj, bigraded_to_json_obj,
 from .bs_cone import decompose_graded
 from .errors import BetticoneError, NotInConeCandidate
 from .es_construct import es_plan, es_ranks, render_plan_text, twist_table
-from .local_cone import (LocalBettiVector, _limit_vector, is_in_local_cone,
-                         limit_degrees, local_ray_coefficients)
+from .local_cone import (LocalBettiVector, is_in_local_cone, limit_degrees,
+                         limit_table, local_ray_coefficients)
 from .module_engine import bigraded_betti, module_from_json_obj
 from .rays import DEFAULT_MAX_BOX, enumerate_box_rays
 from .tables import (graded_from_json_obj, graded_to_json_obj,
@@ -209,7 +209,7 @@ def cmd_local_coeffs(args):
 
 def cmd_local_limit(args):
     degs = limit_degrees(args.i, args.j, args.n)
-    vec = _limit_vector(degs, args.i)
+    vec = limit_table(args.i, args.j, args.n)
     if args.json:
         _print_json({"degrees": list(degs),
                      "vector": [str(v) for v in vec]})

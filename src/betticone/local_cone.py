@@ -205,15 +205,10 @@ def limit_table(i, j, n):
     O(1/j).  The bound (n+1)/j holds for n <= 4 (checked for j up to
     256) and fails from n = 5: at n = 5, i = 0, j = 2 it is 105/32.
     """
-    return _limit_vector(limit_degrees(i, j, n), i)
-
-
-def _limit_vector(d, i):
-    """The pure table of a checked limit sequence d, rescaled so entry
-    i equals 1; i is an index of d."""
-    mult = hk_pure_table(d).multiplicities
+    mult = hk_pure_table(limit_degrees(i, j, n)).multiplicities
+    scale = mult[integral(i, "ray index")]
     # n + 1 >= 2 positive multiplicities (limit_degrees needs i <= n - 1).
-    return LocalBettiVector._trusted(tuple([Fraction(b, mult[i])
+    return LocalBettiVector._trusted(tuple([Fraction(b, scale)
                                             for b in mult]))
 
 

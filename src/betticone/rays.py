@@ -6,12 +6,11 @@ the staircase region I minus J, and its table has support in the box
 [0, B1] x [0, B2] exactly when the region lies in the grid
 [0, B1) x [0, B2).  The candidates are those regions, generated by a
 column walk that reads the table off column by column by counting
-corners, plus a small catalogue of presentation seeds that no monomial
-quotient reaches, whose tables come from the Koszul oracle.  The seed
-tables go through the valency certificate of the bigraded layer,
-K-polynomial test included; the walk yields only regions whose tables
-pass it, each a distinct ray (see enumerate_box_rays), and a certified
-seed is listed unless its ray is listed already.
+corners, plus the tables of a small catalogue of presentation seeds
+that no monomial quotient reaches, stored as data.  The walk yields
+only regions whose tables pass the valency certificate of the bigraded
+layer, K-polynomial test included, each a distinct ray, and no seed
+table is a region table (see enumerate_box_rays).
 
 The walk cuts a branch by three necessary conditions of that
 certificate, so it never cuts a region whose table certifies:
@@ -38,11 +37,9 @@ staircase region, and every pair of generator antichains in the box
 with its quotient module through the Koszul oracle.
 """
 
-from .bigraded import (BigradedBettiTable, check_extremality_certificate,
-                       integral, integral_bidegree)
+from .bigraded import BigradedBettiTable, integral, integral_bidegree
 from .errors import BoundTooLarge
-from .module_engine import (PresentationMatrix, bigraded_betti,
-                            coker_presentation, dual_module)
+from .module_engine import PresentationMatrix
 
 DEFAULT_MAX_BOX = 6
 
@@ -204,35 +201,59 @@ def seed_catalogue():
     return [("heart", heart)]
 
 
+# The Betti tables of the catalogue's seeds as sorted, gcd-normalized
+# keys: the heart's and its dual's.  Both certify; the tests rebuild
+# them with the Koszul oracle from seed_catalogue.
+SEED_KEYS = (
+    (((0, (0, 1)), 1), ((0, (1, 0)), 1),
+     ((1, (0, 3)), 1), ((1, (1, 2)), 1), ((1, (2, 1)), 1), ((1, (3, 0)), 1),
+     ((2, (2, 2)), 1), ((2, (3, 3)), 1)),
+    (((0, (0, 0)), 1), ((0, (1, 1)), 1),
+     ((1, (0, 3)), 1), ((1, (1, 2)), 1), ((1, (2, 1)), 1), ((1, (3, 0)), 1),
+     ((2, (2, 3)), 1), ((2, (3, 2)), 1)),
+)
+
+
 def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     """The certified rays of the catalogue with support in the box.
 
     Candidates are the tables of the staircase regions inside
     [0, B1) x [0, B2), which are exactly the finite length monomial
     quotients I/J whose table support fits in [0, B1] x [0, B2], as
-    pruned_regions walks them, plus the presentation seeds from the
-    catalogue.  Certified tables are returned gcd-normalized, one per
-    scalar class, sorted by their canonical keys, each with its
-    entries in that sorted order.  A module outside the catalogue can
-    have a certified table in the box that is not listed.
+    pruned_regions walks them, plus the stored seed tables SEED_KEYS.
+    Certified tables are returned gcd-normalized, one per scalar
+    class, sorted by their canonical keys, each with its entries in
+    that sorted order.  A module outside the catalogue can have a
+    certified table in the box that is not listed.
 
-    Only the seed tables are checked against the box and go through
-    the certificate.  A region the walk yields is nonempty, its table
-    lies in [0, B1] x [0, B2], and it is certified by construction.
-    Its sorted entries are its canonical key, and no two regions share
-    one, so the region keys are listed without a gcd or a dedup:
-    - Every count is 1.  By _table_column a count above 1 can only be
-      beta_1 = 2 at (a, b), with region column a = [l, b) ending where
-      column a - 1 = [b, u') starts.  Then beta_0 sits at (a, l) and
-      beta_2 at (a, u'), three rows l < b < u' in one table column,
-      which _step cuts.  So the gcd is 1.
+    A region the walk yields is nonempty, its table lies in
+    [0, B1] x [0, B2], and it is certified by construction.  A seed is
+    listed when its bidegrees lie in the box.  Every key is a table's
+    sorted entries, and no two candidates share one, so the keys are
+    listed without a gcd or a dedup:
+    - Every count of a region table is 1.  By _table_column a count
+      above 1 can only be beta_1 = 2 at (a, b), with region column
+      a = [l, b) ending where column a - 1 = [b, u') starts.  Then
+      beta_0 sits at (a, l) and beta_2 at (a, u'), three rows
+      l < b < u' in one table column, which _step cuts.  So the gcd
+      is 1, as it is for the stored seeds.
     - Distinct regions give distinct tables.  A table fixes its
       K-polynomial, and the K-polynomial divided by (1 - s1)(1 - s2)
       is the region's Hilbert series, whose coefficients are 1 on the
       region and 0 off it.  Proportional 0/1 series are equal.
-    A seed is added only if its key is not listed yet, and the keys are
-    sorted once.  Each key is in the table's normal form, so the rays
-    are built from the keys unchecked.
+    - The heart's table is no region table.  A region table with
+      beta_0 at alpha + (1, 0) and alpha + (0, 1) has beta_1 at
+      alpha + (1, 1): there left and below lie in the region and the
+      corner alpha does not (beta_0 at alpha + (1, 0) needs it
+      outside), so r2 = 0, r1 <= dim at alpha + (1, 1) <= 1, and
+      beta_1 = 2 - r1 - r2 >= 1.  The heart has beta_0 at (1, 0) and
+      (0, 1) and no beta_1 at (1, 1).
+    - The dual's table is no region table either.  The dual of a
+      region module is a region module (reflect the order-convex
+      region in its hull), and the dual of the heart's dual has the
+      heart's table.
+    The keys are sorted once; each is in the table's normal form, so
+    the rays are built from the keys unchecked.
     """
     b1, b2 = integral_bidegree(bound, "box")
     max_box = integral(max_box, "max_box")
@@ -248,15 +269,7 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
 
     keys = [tuple(sorted(table.entries.items()))
             for _, table in pruned_regions(b1, b2)]
-    for _, seed in seed_catalogue():
-        module = coker_presentation(seed)
-        for table in (bigraded_betti(module),
-                      bigraded_betti(dual_module(module))):
-            if all(0 <= a <= b1 and 0 <= b <= b2
-                   for a, b in table.support()) \
-                    and check_extremality_certificate(table).is_extremal():
-                key = table.canonical_key()
-                if key not in keys:
-                    keys.append(key)
+    keys += [key for key in SEED_KEYS
+             if all(a <= b1 and b <= b2 for (_, (a, b)), _ in key)]
     keys.sort()
     return [BigradedBettiTable._trusted(dict(k)) for k in keys]

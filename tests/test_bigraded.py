@@ -16,6 +16,7 @@ import functools
 import hashlib
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -46,12 +47,13 @@ from betticone import (
     matching_graph,
     monomial_quotient,
 )
-from betticone import seed_catalogue
+from betticone import module_engine, seed_catalogue
 from betticone.bigraded import (
     bigraded_from_json_obj,
     bigraded_to_json_obj,
 )
-from betticone.rays import _step, pruned_regions, staircase_betti
+from betticone.rays import (SEED_KEYS, _step, pruned_regions,
+                            staircase_betti)
 
 KOSZUL_ENTRIES = {
     (0, (0, 0)): 1,
@@ -685,6 +687,52 @@ def test_listing_matches_the_keyed_route_up_to_box_five():
     for b1 in range(6):
         for b2 in range(6):
             _check_listing((b1, b2))
+
+
+def test_stored_seed_keys_are_the_certified_oracle_tables():
+    """SEED_KEYS holds the heart's table and its dual's, as the Koszul
+    oracle computes them from the catalogue, and both certify."""
+    (_, heart), = seed_catalogue()
+    module = coker_presentation(heart)
+    tables = [bigraded_betti(module), bigraded_betti(dual_module(module))]
+    assert SEED_KEYS == tuple(t.canonical_key() for t in tables)
+    for table in tables:
+        assert check_extremality_certificate(table).is_extremal()
+
+
+def test_no_seed_key_is_a_region_key():
+    """The listing adds the stored seeds without a dedup, which needs
+    them to differ from every walked region table (and, as the proof in
+    enumerate_box_rays says, from every region table at all)."""
+    for b1 in range(6):
+        for b2 in range(6):
+            keys = {t.canonical_key() for _, t in pruned_regions(b1, b2)}
+            assert keys.isdisjoint(SEED_KEYS), (b1, b2)
+    keys = {staircase_betti(c).canonical_key()
+            for c in staircase_regions(4, 4)}
+    assert len(keys) == 1145 and keys.isdisjoint(SEED_KEYS)
+
+
+def test_listing_runs_no_oracle_and_no_certificate():
+    """enumerate_box_rays reads its seeds from SEED_KEYS: no function of
+    the module engine and no certificate runs while it lists a box the
+    seeds fit in."""
+    engine = module_engine.__file__
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        rays = enumerate_box_rays((4, 4))
+    finally:
+        sys.setprofile(None)
+    assert len(rays) == 441
+    assert _step.__code__ in seen
+    assert not [c.co_name for c in seen if c.co_filename == engine]
+    assert check_extremality_certificate.__code__ not in seen
 
 
 # Regions equal to their own transpose, per square box.

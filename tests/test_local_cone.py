@@ -149,6 +149,16 @@ def test_limit_table_exact_values():
     assert sup_distance(v, ray_vector(0, 2)) == Fraction(1, 100)
 
 
+def test_limit_table_takes_what_limit_degrees_takes():
+    """An integral float or Fraction ray index is read as its int, as
+    limit_degrees reads it; a non-integral one is refused by name."""
+    assert limit_table(1.0, 10, 2) == limit_table(Fraction(1), 10, 2) \
+        == limit_table(1, 10, 2)
+    with pytest.raises(ValueError,
+                       match="ray index must be an integer, got 0.5"):
+        limit_table(0.5, 10, 2)
+
+
 def test_limit_tables_converge_to_each_ray():
     for n in (2, 3):
         for i in range(n):
