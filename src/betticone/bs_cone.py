@@ -34,6 +34,17 @@ class Decomposition:
             if c <= 0:
                 raise ValueError("part coefficients must be positive")
 
+    @classmethod
+    def _trusted(cls, parts, residual):
+        """A decomposition over a tuple of parts whose coefficients are
+        positive.  It skips the check, so only library code whose
+        coefficients are positive by construction calls it, and says
+        why at the call."""
+        decomposition = cls.__new__(cls)
+        decomposition.parts = parts
+        decomposition.residual = residual
+        return decomposition
+
     def is_complete(self):
         return self.residual.is_empty()
 
@@ -129,4 +140,8 @@ def decompose_graded(t):
             else:
                 del work[key]
         parts.append((Fraction(num, scale), pure))
-    return Decomposition(parts, GradedBettiTable(t.nvars, {}))
+    # Each coefficient num / scale is positive: work holds positive ints
+    # (zeros are deleted) and the multiplicities are positive.  The
+    # empty residual has no numerators, over scale 1.
+    return Decomposition._trusted(
+        tuple(parts), GradedBettiTable._trusted(t.nvars, {}, {}, 1))

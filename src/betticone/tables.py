@@ -26,10 +26,11 @@ constructor, normalize_positive_integers and local_cone's partial sums
 go through it), and check_hk_equations is the one Herzog-Kuhl test,
 which bs_cone's greedy also calls.
 
-The layer builds its own values unchecked: DegreeSequence, PureTable
-and HilbertNumerator (and local_cone's LocalBettiVector) have a
-_trusted constructor for values whose form follows from how the
-library made them, and each call says why.  The public constructors
+The layer builds its own values unchecked: DegreeSequence, PureTable,
+HilbertNumerator and GradedBettiTable (and local_cone's
+LocalBettiVector and bs_cone's Decomposition) have a _trusted
+constructor for values whose form follows from how the library made
+them, and each call says why.  The public constructors
 keep every check for other callers.
 """
 
@@ -130,6 +131,19 @@ class GradedBettiTable:
         self.nvars = nvars
         self.entries = clean
         self.numerators, self.scale = clear_denominators(clean)
+
+    @classmethod
+    def _trusted(cls, nvars, entries, numerators, scale):
+        """A table over values already in the form __init__ produces,
+        the invariant of the class docstring included.  It skips every
+        check, so only library code whose values have that form by
+        construction calls it, and says why at the call."""
+        table = cls.__new__(cls)
+        table.nvars = nvars
+        table.entries = entries
+        table.numerators = numerators
+        table.scale = scale
+        return table
 
     def entry(self, i, j):
         return self.entries.get((i, j), Fraction(0))

@@ -52,7 +52,8 @@ from betticone.bigraded import (
     bigraded_from_json_obj,
     bigraded_to_json_obj,
 )
-from betticone.rays import (SEED_KEYS, _step, pruned_regions,
+from betticone import rays as rays_module
+from betticone.rays import (SEED_KEYS, _dense_shapes, _step, pruned_regions,
                             staircase_betti)
 
 KOSZUL_ENTRIES = {
@@ -961,3 +962,54 @@ def test_pruned_walk_yields_the_pinned_sequence(box):
 def test_pruned_walk_and_rays_at_box_six():
     assert _check_pruned_walk(6, 6) == 17380
     assert len(enumerate_box_rays((6, 6))) == 17382
+
+
+# Dense monomial shapes per k, Cat(k - 1), and how many of them equal
+# their own transpose, C(k - 1, (k - 1) // 2).
+DENSE_SHAPES = {2: (1, 1), 3: (2, 2), 4: (5, 3), 5: (14, 6), 6: (42, 10),
+                7: (132, 20)}
+
+
+def _check_dense_shapes(k):
+    """_dense_shapes(k) is the full walk of box k - 1 filtered to the
+    tables that use all k columns, in the walk's order, and every such
+    table uses all k rows; the counts are the pinned ones."""
+    walked = [sorted((i, a, b) for i, (a, b) in table.entries)
+              for _, table in pruned_regions(k - 1, k - 1)]
+    dense = [shape for shape in walked
+             if {a for _, a, _ in shape} == set(range(k))]
+    shapes = list(_dense_shapes(k))
+    assert shapes == dense, k
+    assert all({b for _, _, b in shape} == set(range(k)) for shape in shapes)
+    fixed = sum(sorted((i, b, a) for i, a, b in shape) == shape
+                for shape in shapes)
+    assert (len(shapes), fixed) == DENSE_SHAPES[k]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_dense_shapes_are_the_full_walk_filtered(k):
+    _check_dense_shapes(k)
+
+
+def test_listing_walks_the_dense_shapes_only(monkeypatch):
+    """The listing walks box k - 1 per k, not the full box: the full
+    walk takes 1449 steps at box 4,4 and 64509 at box 6,6."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _step(*args)
+
+    monkeypatch.setattr(rays_module, "_step", counted)
+    enumerate_box_rays((4, 4))
+    assert len(calls) <= 600
+    calls.clear()
+    enumerate_box_rays((6, 6))
+    assert len(calls) <= 9000
+
+
+@pytest.mark.slow
+def test_dense_shapes_at_seven_and_the_listing_at_box_six():
+    _check_dense_shapes(7)
+    assert [list(t.entries.items()) for t in enumerate_box_rays((6, 6))] \
+        == [list(t.entries.items()) for t in _keyed_box_rays((6, 6))]

@@ -8,6 +8,7 @@ partial decomposition on the exception.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -324,3 +325,29 @@ def test_integer_greedy_matches_fraction_greedy_on_rational_tables():
     assert outcomes["table"] == 1000
     assert outcomes["ok"] >= 500
     assert sum(outcomes.values()) - outcomes["table"] - outcomes["ok"] >= 40
+
+
+def test_complete_greedy_builds_its_result_unchecked():
+    """A complete greedy builds its Decomposition and the empty residual
+    without the checking constructors, and they hold what those
+    constructors build from the same values."""
+    t = _table((0, 1, 3, 5), Fraction(3, 2)).add(_table((0, 3, 5, 6)))
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        d = decompose_graded(t)
+    finally:
+        sys.setprofile(None)
+    assert Decomposition.__init__.__code__ not in seen
+    assert GradedBettiTable.__init__.__code__ not in seen
+    assert d.is_complete() and d.resum() == t
+    assert type(d.parts) is tuple
+    assert all(type(c) is Fraction and c > 0 for c, _ in d.parts)
+    empty = GradedBettiTable(t.nvars, {})
+    assert [getattr(d.residual, name) for name in GradedBettiTable.__slots__] \
+        == [getattr(empty, name) for name in GradedBettiTable.__slots__]
