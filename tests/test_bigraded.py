@@ -964,6 +964,45 @@ def test_pruned_walk_and_rays_at_box_six():
     assert len(enumerate_box_rays((6, 6))) == 17382
 
 
+# SHA-256 of repr(list(...)) of each walk on its own, pruned_regions
+# per box and _dense_shapes per k, taken while the two walks were still
+# written out separately: a change that reorders or alters either walk
+# fails here, even where the walks still agree with each other.
+PINNED_PRUNED = {
+    (5, 5): "18b4075b7e741901b6aede77fdf23b516d2d4979"
+            "362c1595399041ddb7cb7b25",
+    (6, 6): "ed359797550627a232d72b0f528f204d9c5d5116"
+            "13926519ccf07abc291b2f9d",
+}
+PINNED_DENSE = {
+    2: "37a424be435b97948cc747430daf63b99bd9375a1c0669fca35bfa4c94f257d7",
+    3: "7edb34cf3f966004849ea72b5d8a34b54a207ad5d68d7a7451bc26df7ac9ca3a",
+    4: "39bb3b7674e8dc544cb59aa9fc7ae89a0090cfbec137f4f5be204b3cffd28e82",
+    5: "72fa9886ef845648de632623a6c63bec243f6717da76904659e6a885da2a446f",
+    6: "73daa0c98cb9dded8a7ae2343c8d6f9d0577e524cce7d468b238601a0a64db78",
+    7: "7ced595a78c4fd29cb7e780bbc438639d96177925119a673ecd434cfc0df849f",
+}
+
+
+def _digest(items):
+    return hashlib.sha256(repr(list(items)).encode()).hexdigest()
+
+
+def test_pruned_walk_at_box_five_yields_its_pinned_sequence():
+    assert _digest(pruned_regions(5, 5)) == PINNED_PRUNED[(5, 5)]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_dense_shapes_yield_their_pinned_sequence(k):
+    assert _digest(_dense_shapes(k)) == PINNED_DENSE[k]
+
+
+@pytest.mark.slow
+def test_walks_at_box_six_and_shapes_at_seven_yield_their_pinned_sequences():
+    assert _digest(pruned_regions(6, 6)) == PINNED_PRUNED[(6, 6)]
+    assert _digest(_dense_shapes(7)) == PINNED_DENSE[7]
+
+
 # Dense monomial shapes per k, Cat(k - 1), and how many of them equal
 # their own transpose, C(k - 1, (k - 1) // 2).
 DENSE_SHAPES = {2: (1, 1), 3: (2, 2), 4: (5, 3), 5: (14, 6), 6: (42, 10),
