@@ -35,10 +35,14 @@ state is one hashable frontier, and _step its one transition.
 The listing walks only the dense shapes, the certified tables that use
 every table column and row, one walk of box k - 1 per k, and places
 each in the box (461 steps at box (4,4) instead of the full walk's
-1449).  The full walk, pruned_regions, is the reference route; the
-tests also keep the unpruned walk over every staircase region, and
-every pair of generator antichains in the box with its quotient module
-through the Koszul oracle.
+1449).  The full walk, pruned_regions, is the reference route.  Both
+are one skeleton, _walk, with one column-choice rule; the dense walk
+also cuts an empty finished table column.  Each walk reads a closed
+region's table off its columns at the leaf with staircase_betti, the
+one route from columns to a table.  The tests also keep the unpruned
+walk over every staircase region, and every pair of generator
+antichains in the box with its quotient module through the Koszul
+oracle.
 """
 
 from itertools import combinations
@@ -144,6 +148,33 @@ def _step(a, prev, col, ends):
     return part, tuple(ends_next)
 
 
+def _walk(width, height, dense):
+    """The regions inside [0, width) x [0, height) whose last step
+    closes the cycle, as tuples of columns, each once, lazily, in a
+    fixed order; with dense, cut also as soon as a finished table
+    column is empty.  This is the one statement of the column-choice
+    rule that pruned_regions derives; each choice goes through _step,
+    and the walk recurses on what it returns, undoing nothing."""
+    def walk(a, p, q, columns, ends):
+        prev = columns[-1] if columns else None
+        if a == width:
+            last = _step(a, prev, None, ends)
+            if last is not None and last[1] is None and (last[0] or not dense):
+                yield columns
+            return
+        choices = [(None, p, p)]
+        choices += [((low, high), low, high)
+                    for low in range(min(p, height - 1) + 1)
+                    for high in range(low + 1, q + 1)]
+        for col, p_next, q_next in choices:
+            step = _step(a, prev, col, ends)
+            if step is not None and (step[0] or not dense):
+                yield from walk(a + 1, p_next, q_next, columns + (col,),
+                                step[1])
+
+    yield from walk(0, height, height, (), tuple(range(height + 1)))
+
+
 def pruned_regions(bound_a, bound_b):
     """Staircase regions inside [0, bound_a) x [0, bound_b) whose tables
     pass the extremality certificate, as (columns, table) pairs.
@@ -157,59 +188,21 @@ def pruned_regions(bound_a, bound_b):
     empty, which leaves U's start at p and forces V's start there too,
     or an interval [l, u) with l <= p (else U's cell (a, p) would sit
     in V below S) and u <= q (V is closed upward).  Each region comes
-    once, lazily, in a fixed order.
-
-    Each column goes through _step, and the walk recurses on what it
-    returns, undoing nothing; a region is yielded when the last step
-    closes the cycle.  Each table is built unchecked, being
-    staircase_betti's table of the same columns.
+    once, lazily, in a fixed order, with the table staircase_betti
+    reads off its columns at the leaf.
     """
-    def walk(a, p, q, columns, parts, ends):
-        prev = columns[-1] if columns else None
-        if a == bound_a:
-            last = _step(a, prev, None, ends)
-            if last is not None and last[1] is None:
-                entries = {}
-                for part in parts + (last[0],):
-                    entries.update(part)
-                yield columns, BigradedBettiTable._trusted(entries)
-            return
-        choices = [(None, p, p)]
-        choices += [((low, high), low, high)
-                    for low in range(min(p, bound_b - 1) + 1)
-                    for high in range(low + 1, q + 1)]
-        for col, p_next, q_next in choices:
-            step = _step(a, prev, col, ends)
-            if step is not None:
-                part, ends_next = step
-                yield from walk(a + 1, p_next, q_next, columns + (col,),
-                                parts + (part,), ends_next)
-
-    yield from walk(0, bound_b, bound_b, (), (), tuple(range(bound_b + 1)))
+    for columns in _walk(bound_a, bound_b, dense=False):
+        yield columns, staircase_betti(columns)
 
 
 def _dense_shapes(k):
     """The certified region tables in box (k - 1, k - 1) that use all k
     table columns, each as its sorted (i, a, b) triples: pruned_regions'
-    walk, cut also as soon as a finished table column is empty."""
-    def walk(a, p, q, prev, entries, ends):
-        if a == k - 1:
-            last = _step(a, prev, None, ends)
-            if last is not None and last[0] and last[1] is None:
-                entries = {**entries, **last[0]}
-                yield sorted([(i, x, y) for i, (x, y) in entries])
-            return
-        choices = [(None, p, p)]
-        choices += [((low, high), low, high)
-                    for low in range(min(p, k - 2) + 1)
-                    for high in range(low + 1, q + 1)]
-        for col, p_next, q_next in choices:
-            step = _step(a, prev, col, ends)
-            if step is not None and step[0]:
-                yield from walk(a + 1, p_next, q_next, col,
-                                {**entries, **step[0]}, step[1])
-
-    yield from walk(0, k - 1, k - 1, None, {}, tuple(range(k)))
+    walk, cut also as soon as a finished table column is empty, with
+    each table read off its columns at the leaf by staircase_betti."""
+    for columns in _walk(k - 1, k - 1, dense=True):
+        yield sorted([(i, a, b)
+                      for i, (a, b) in staircase_betti(columns).entries])
 
 
 def seed_catalogue():
