@@ -21,7 +21,22 @@ CERT_EXTREMAL = "ExtremalByClaim3"
 CERT_INCONCLUSIVE = "Inconclusive"
 
 
-class BigradedBettiTable:
+class Value:
+    """An immutable value: equal to a value of the same type with an
+    equal _key(), and hashed by that key, so equal values hash equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class BigradedBettiTable(Value):
     """Sparse map (i, (a, b)) -> positive integer count, i in {0, 1, 2}."""
 
     __slots__ = ("entries",)
@@ -84,13 +99,8 @@ class BigradedBettiTable:
         g = gcd(*self.entries.values())
         return tuple(sorted((key, c // g) for key, c in self.entries.items()))
 
-    def __eq__(self, other):
-        if isinstance(other, BigradedBettiTable):
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.entries.items()))
+    def _key(self):
+        return frozenset(self.entries.items())
 
     def __repr__(self):
         body = ", ".join(f"({i},{a}):{c}" for (i, a), c
@@ -98,7 +108,7 @@ class BigradedBettiTable:
         return f"BigradedBettiTable({{{body}}})"
 
 
-class KPolynomial:
+class KPolynomial(Value):
     """Integer Laurent polynomial in s1, s2 given coefficientwise."""
 
     __slots__ = ("coefficients",)
@@ -121,10 +131,8 @@ class KPolynomial:
         k.coefficients = {alpha: c for alpha, c in coefficients.items() if c}
         return k
 
-    def __eq__(self, other):
-        if isinstance(other, KPolynomial):
-            return self.coefficients == other.coefficients
-        return NotImplemented
+    def _key(self):
+        return frozenset(self.coefficients.items())
 
     def __repr__(self):
         body = " + ".join(f"{c}*s^{a}" for a, c
@@ -271,7 +279,7 @@ def check_extremality_certificate(t):
     if not graph.vertices:
         failures.append(("empty", None, 0))
     for alpha in sorted(graph.vertices):
-        weight, support = graph.vertices[alpha]
+        _, support = graph.vertices[alpha]
         xv = graph.x_valency(alpha)
         yv = graph.y_valency(alpha)
         if xv != 1:

@@ -27,8 +27,7 @@ from .local_cone import (LocalBettiVector, is_in_local_cone, limit_degrees,
                          limit_table, local_ray_coefficients)
 from .module_engine import bigraded_betti, module_from_json_obj
 from .rays import DEFAULT_MAX_BOX, enumerate_box_rays
-from .tables import (graded_from_json_obj, graded_to_json_obj,
-                     hk_pure_table, pure_to_json_obj)
+from .tables import graded_from_json_obj, hk_pure_table, pure_to_json_obj
 
 
 def _ints(text, field):

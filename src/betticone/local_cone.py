@@ -24,7 +24,7 @@ variables is still refused, since nvars = 0 is a legal table.
 
 from fractions import Fraction
 
-from .bigraded import integral
+from .bigraded import Value, integral
 from .errors import DegenerateSequence, NotOnHyperplane
 from .tables import DegreeSequence, clear_denominators, hk_pure_table
 
@@ -35,7 +35,7 @@ OUTSIDE = "Outside"
 _TOO_SHORT = "need at least beta_0 and beta_1 (dim >= 1)"
 
 
-class LocalBettiVector:
+class LocalBettiVector(Value):
     """Nonnegative rational vector (beta_0, ..., beta_n), n = dim R."""
 
     __slots__ = ("entries",)
@@ -72,13 +72,8 @@ class LocalBettiVector:
     def __getitem__(self, k):
         return self.entries[k]
 
-    def __eq__(self, other):
-        if isinstance(other, LocalBettiVector):
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.entries)
+    def _key(self):
+        return self.entries
 
     def __repr__(self):
         return f"LocalBettiVector({[str(v) for v in self.entries]})"

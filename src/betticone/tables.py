@@ -37,11 +37,12 @@ keep every check for other callers.
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .bigraded import integral, json_int, json_list, json_rational, signed_fold
+from .bigraded import (Value, integral, json_int, json_list, json_rational,
+                       signed_fold)
 from .errors import NonIncreasingDegrees
 
 
-class DegreeSequence:
+class DegreeSequence(Value):
     """Strictly increasing integers d_0 < d_1 < ... < d_n."""
 
     __slots__ = ("degrees",)
@@ -78,13 +79,8 @@ class DegreeSequence:
     def __getitem__(self, k):
         return self.degrees[k]
 
-    def __eq__(self, other):
-        if isinstance(other, DegreeSequence):
-            return self.degrees == other.degrees
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.degrees)
+    def _key(self):
+        return self.degrees
 
     def __repr__(self):
         return f"DegreeSequence({list(self.degrees)!r})"
@@ -94,7 +90,7 @@ def as_degree_sequence(d):
     return d if isinstance(d, DegreeSequence) else DegreeSequence(d)
 
 
-class GradedBettiTable:
+class GradedBettiTable(Value):
     """Sparse map (i, j) -> positive rational over a ring in nvars variables.
 
     Zero values are dropped on construction, so membership in .entries
@@ -172,13 +168,8 @@ class GradedBettiTable:
         return GradedBettiTable(
             self.nvars, {key: c * b for key, b in self.entries.items()})
 
-    def __eq__(self, other):
-        if isinstance(other, GradedBettiTable):
-            return self.nvars == other.nvars and self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.entries.items())))
+    def _key(self):
+        return self.nvars, frozenset(self.entries.items())
 
     def __repr__(self):
         body = ", ".join(f"({i},{j}):{b}" for (i, j), b
@@ -186,7 +177,7 @@ class GradedBettiTable:
         return f"GradedBettiTable(nvars={self.nvars}, {{{body}}})"
 
 
-class PureTable:
+class PureTable(Value):
     """Degree sequence plus positive integer multiplicities.
 
     hk_pure_table produces the gcd-normalized representative; raw
@@ -224,21 +215,15 @@ class PureTable:
              for i, (d, b) in enumerate(zip(self.degrees,
                                             self.multiplicities))})
 
-    def __eq__(self, other):
-        if isinstance(other, PureTable):
-            return (self.degrees == other.degrees
-                    and self.multiplicities == other.multiplicities)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.degrees, self.multiplicities))
+    def _key(self):
+        return self.degrees, self.multiplicities
 
     def __repr__(self):
         return (f"PureTable({list(self.degrees.degrees)!r}, "
                 f"{list(self.multiplicities)!r})")
 
 
-class HilbertNumerator:
+class HilbertNumerator(Value):
     """Integer Laurent polynomial sum_j c_j t^j with a positive scale.
 
     The rational numerator of a table is coefficients/scale; the pair
@@ -286,14 +271,8 @@ class HilbertNumerator:
         """Exact rational coefficient of t^j."""
         return Fraction(self.coefficients.get(j, 0), self.scale)
 
-    def __eq__(self, other):
-        if isinstance(other, HilbertNumerator):
-            return (self.scale == other.scale
-                    and self.coefficients == other.coefficients)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.scale, frozenset(self.coefficients.items())))
+    def _key(self):
+        return self.scale, frozenset(self.coefficients.items())
 
     def __repr__(self):
         terms = " + ".join(f"{c}*t^{j}" for j, c

@@ -6,7 +6,8 @@ and is the usual way a cycle gets papered over.  No module reads the
 process environment: every setting is an argument or a command line
 option.  No module calls json's indenting encoder.  The linear algebra
 kernel imports nothing from fractions.  Only the package calls the
-trusted constructors that skip input checks.
+trusted constructors that skip input checks.  Only the value base class
+writes __eq__ and __hash__, and every imported name is used.
 """
 
 from __future__ import annotations
@@ -138,4 +139,40 @@ def test_only_the_package_calls_the_trusted_constructors():
              for path in outside
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "_trusted"]
+    assert not found, found
+
+
+def test_only_the_value_base_defines_equality():
+    """A value type's equality and hash come from its _key() through
+    bigraded.Value; no other class writes __eq__ or __hash__."""
+    found = [f"{name}.{cls.name}"
+             for name, tree in MODULES.items() for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef)
+             and (name, cls.name) != ("bigraded", "Value")
+             and any(isinstance(node, ast.FunctionDef)
+                     and node.name in ("__eq__", "__hash__")
+                     for node in cls.body)]
+    assert not found, found
+
+
+def _imported_names(tree):
+    """(name, line) for every name an import statement binds."""
+    return [((alias.asname or alias.name).split(".")[0], node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names]
+
+
+def test_every_imported_name_is_used():
+    """Outside __init__, which re-exports, a module imports only what
+    it reads."""
+    found = []
+    for name, tree in MODULES.items():
+        if name == "__init__":
+            continue
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{name} line {line}: {bound}"
+                  for bound, line in _imported_names(tree)
+                  if bound not in used]
     assert not found, found
