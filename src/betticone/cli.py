@@ -17,16 +17,15 @@ import sys
 
 from . import __version__
 from .bigraded import (bigraded_from_json_obj, bigraded_to_json_obj,
-                       check_extremality_certificate, count_up_to_swap,
-                       graph_to_dot, integral_bidegree, json_int,
-                       json_rational)
+                       check_extremality_certificate, graph_to_dot,
+                       integral_bidegree, json_int, json_rational)
 from .bs_cone import decompose_graded
 from .errors import BetticoneError, NotInConeCandidate
 from .es_construct import es_plan, es_ranks, render_plan_text, twist_table
 from .local_cone import (LocalBettiVector, is_in_local_cone, limit_degrees,
                          limit_table, local_ray_coefficients)
 from .module_engine import bigraded_betti, module_from_json_obj
-from .rays import DEFAULT_MAX_BOX, enumerate_box_rays
+from .rays import DEFAULT_MAX_BOX, box_rays
 from .tables import graded_from_json_obj, hk_pure_table, pure_to_json_obj
 
 
@@ -72,11 +71,14 @@ def _json_text(obj, pad):
     does and raises TypeError on anything it cannot encode.
 
     A dict met again at the same indentation is written once: its text
-    is kept for the rest of the call under (id, pad).  Every object of
+    is kept for the rest of the call in texts[pad][id].  A list reads
+    the texts of its elements' indentation before it recurses, so an
+    element it has written before costs one lookup.  Every object of
     the tree stays alive until the call returns, so no id is reused for
-    another object while the texts are kept.  Lists are written each
-    time, so the text of a list already joined into its parent's is not
-    kept as well."""
+    another object while the texts are kept; only dicts are kept, so
+    no other element's id is found.  Lists are written each time, so
+    the text of a list already joined into its parent's is not kept as
+    well."""
     return _text(obj, pad, {})
 
 
@@ -84,21 +86,24 @@ def _text(obj, pad, texts):
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        done = texts.get((id(obj), pad))
-        if done is None:
+        done = texts.setdefault(pad, {})
+        text = done.get(id(obj))
+        if text is None:
             inner = pad + "  "
-            done = texts[id(obj), pad] = "{" + inner + ("," + inner).join([
+            text = done[id(obj)] = "{" + inner + ("," + inner).join([
                 (_str_json(k) if k.__class__ is str else _key_json(k)) + ": "
                 + (_int_json(v) if v.__class__ is int
                    else _text(v, inner, texts))
                 for k, v in obj.items()]) + pad + "}"
-        return done
+        return text
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
+        done = texts.setdefault(inner, {})
         return "[" + inner + ("," + inner).join([
-            _int_json(v) if v.__class__ is int else _text(v, inner, texts)
+            _int_json(v) if v.__class__ is int
+            else done.get(id(v)) or _text(v, inner, texts)
             for v in obj]) + pad + "]"
     if obj.__class__ is str:
         return _str_json(obj)
@@ -265,22 +270,27 @@ def cmd_bigraded_rays(args):
     if args.max_box < 0:
         raise ValueError(
             f"--max-box must be a nonnegative integer, got {args.max_box}")
-    rays = enumerate_box_rays(box, max_box=args.max_box)
-    swap_count = count_up_to_swap(rays)
+    rays, swap_count = box_rays(box, max_box=args.max_box)
     if args.json:
         # bigraded_to_json_obj's form, with one object per distinct
         # entry, which _json_text then writes once; each ray lists its
         # entries sorted already.
-        shared = {((i, (a, b)), c): {"i": i, "deg": [a, b], "b": c}
-                  for (i, (a, b)), c in
-                  {item for t in rays for item in t.entries.items()}}
+        shared = {}
+        listed = []
+        for t in rays:
+            entries = []
+            for item in t.entries.items():
+                obj = shared.get(item)
+                if obj is None:
+                    (i, (a, b)), c = item
+                    obj = shared[item] = {"i": i, "deg": [a, b], "b": c}
+                entries.append(obj)
+            listed.append({"kind": "bigraded", "entries": entries})
         _print_json({
             "box": box,
             "count": len(rays),
             "count_up_to_swap": swap_count,
-            "rays": [{"kind": "bigraded",
-                      "entries": [shared[item] for item in t.entries.items()]}
-                     for t in rays],
+            "rays": listed,
         })
     else:
         for k, t in enumerate(rays):

@@ -35,17 +35,19 @@ state is one hashable frontier, and _step its one transition.
 The listing walks only the dense shapes, the certified tables that use
 every table column and row, one walk of box k - 1 per k, and places
 each in the box (461 steps at box (4,4) instead of the full walk's
-1449).  The full walk, pruned_regions, is the reference route.  Both
-are one skeleton, _walk, with one column-choice rule; the dense walk
-also cuts an empty finished table column.  Each walk reads a closed
-region's table off its columns at the leaf with staircase_betti, the
-one route from columns to a table.  The tests also keep the unpruned
-walk over every staircase region, and every pair of generator
-antichains in the box with its quotient module through the Koszul
-oracle.
+1449); box_rays counts the swap classes off the same placements,
+without a pass over the rays.  The full walk, pruned_regions, is the
+reference route.  Both are one skeleton, _walk, with one column-choice
+rule; the dense walk also cuts an empty finished table column.  Each
+walk reads a closed region's table off its columns at the leaf with
+staircase_betti, the one route from columns to a table.  The tests
+also keep the unpruned walk over every staircase region, and every
+pair of generator antichains in the box with its quotient module
+through the Koszul oracle.
 """
 
 from itertools import combinations
+from math import comb
 
 from .bigraded import BigradedBettiTable, integral, integral_bidegree
 from .errors import BoundTooLarge
@@ -303,8 +305,42 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
       region module is a region module (reflect the order-convex
       region in its hull), and the dual of the heart's dual has the
       heart's table.
-    The keys are sorted once; each is in the table's normal form, so
-    the rays are built from the keys unchecked.
+    box_rays builds the list: it sorts the keys once, as int codes,
+    and each key is in the table's normal form, so the rays are built
+    from the keys unchecked.
+    """
+    return box_rays(bound, max_box)[0]
+
+
+def box_rays(bound, max_box=DEFAULT_MAX_BOX):
+    """(rays, swap classes): enumerate_box_rays(bound, max_box) and
+    count_up_to_swap of it, from one pass over the dense shapes.
+
+    The swap classes are counted off the placements.  Swapping x and
+    y maps a region module to a region module and keeps the
+    certificate, whose two valencies trade places, so the transpose
+    S' of a dense shape S is a dense shape of the same k, and the
+    mirror of S placed at columns C and rows R is S' placed at columns
+    R and rows C.  Placements give distinct tables, so that mirror is
+    listed exactly when R lies in [0, B1] and C in [0, B2], that is,
+    both in [0, m] with m = min(B1, B2); it is the placement itself
+    exactly when S' = S and C = R.  Each stored seed table is its own
+    mirror, and a region table's mirror is a region table, never a
+    seed.  Mirroring is an involution, so of N listed rays, M of them
+    with their mirror listed and F their own mirror, the classes are
+    the N - M rays without a listed mirror, (M - F) / 2 pairs and the F
+    fixed rays: N - (M - F) / 2.  Over the placements
+    M = sum_k s_k C(m + 1, k)^2 and F = sum_k f_k C(m + 1, k), with
+    s_k the dense shapes for k and f_k the self-transpose ones; a
+    listed seed adds 1 to both and drops out.  count_up_to_swap, which
+    takes any tables, is the second route in the tests.
+
+    The keys are sorted as int codes.  The entry ((i, (a, b)), 1) has
+    code (i (B1 + 1) + a) (B2 + 1) + b, increasing in (i, a, b) over
+    the box, and every count is 1, so code tuples compare as the entry
+    tuples do, prefixes included, and sort in the same order.  One
+    list of entry objects decodes them, so every key that holds an
+    entry holds that one object.
     """
     b1, b2 = integral_bidegree(bound, "box")
     max_box = integral(max_box, "max_box")
@@ -318,19 +354,33 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     if b1 < 0 or b2 < 0:
         raise ValueError("box corners must be nonnegative")
 
-    # entry[i][x][y] is the key entry ((i, (x, y)), 1), one object
-    # for every key that holds it, so the sort meets equal entries as
-    # identical ones.
-    entry = [[[((i, (x, y)), 1) for y in range(b2 + 1)]
-              for x in range(b1 + 1)] for i in range(3)]
+    width, height = b1 + 1, b2 + 1
+    # code[i][x][y] is the code of ((i, (x, y)), 1) and entry[c] the
+    # entry of code c.
+    code = [[list(range((i * width + x) * height,
+                        (i * width + x + 1) * height))
+             for x in range(width)] for i in range(3)]
+    entry = [((i, (x, y)), 1) for i in range(3) for x in range(width)
+             for y in range(height)]
+    m = min(b1, b2)
     keys = []
-    for k in range(2, min(b1, b2) + 2):
+    mirrored = fixed = 0
+    for k in range(2, m + 2):
         shapes = list(_dense_shapes(k))
-        for cols in combinations(range(b1 + 1), k):
-            for rows in combinations(range(b2 + 1), k):
-                keys += [tuple([entry[i][cols[a]][rows[b]]
+        for cols in combinations(range(width), k):
+            for rows in combinations(range(height), k):
+                keys += [tuple([code[i][cols[a]][rows[b]]
                                 for i, a, b in shape]) for shape in shapes]
-    keys += [key for key in SEED_KEYS
+        square = comb(m + 1, k)
+        mirrored += len(shapes) * square * square
+        fixed += square * sum(
+            shape == sorted([(i, b, a) for i, a, b in shape])
+            for shape in shapes)
+    keys += [tuple([code[i][a][b] for (i, (a, b)), _ in key])
+             for key in SEED_KEYS
              if all(a <= b1 and b <= b2 for (_, (a, b)), _ in key)]
     keys.sort()
-    return [BigradedBettiTable._trusted(dict(k)) for k in keys]
+    decode = entry.__getitem__
+    rays = [BigradedBettiTable._trusted(dict(map(decode, key)))
+            for key in keys]
+    return rays, len(rays) - (mirrored - fixed) // 2

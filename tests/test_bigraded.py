@@ -36,6 +36,7 @@ from betticone import (
     NotFiniteLength,
     PresentationMatrix,
     bigraded_betti,
+    box_rays,
     check_extremality_certificate,
     coker_presentation,
     count_up_to_swap,
@@ -53,8 +54,8 @@ from betticone.bigraded import (
     bigraded_to_json_obj,
 )
 from betticone import rays as rays_module
-from betticone.rays import (SEED_KEYS, _dense_shapes, _step, pruned_regions,
-                            staircase_betti)
+from betticone.rays import (DEFAULT_MAX_BOX, SEED_KEYS, _dense_shapes, _step,
+                            pruned_regions, staircase_betti)
 
 KOSZUL_ENTRIES = {
     (0, (0, 0)): 1,
@@ -673,14 +674,19 @@ def _keyed_swap_count(tables):
     return len(seen)
 
 
-def _check_listing(bound):
+def _check_listing(bound, max_box=DEFAULT_MAX_BOX):
     """The listing equals the keyed route, entry order included (the
-    CLI writes a ray's entries in the order it stores them), and its
-    swap count equals the keyed route's; returns the rays."""
-    rays = enumerate_box_rays(bound)
-    assert [list(t.entries.items()) for t in rays] == \
+    CLI writes a ray's entries in the order it stores them), box_rays
+    lists the same, and its swap count, read off the placements,
+    equals count_up_to_swap's and the keyed route's; returns the
+    rays."""
+    rays = enumerate_box_rays(bound, max_box)
+    items = [list(t.entries.items()) for t in rays]
+    assert items == \
         [list(t.entries.items()) for t in _keyed_box_rays(bound)], bound
-    assert count_up_to_swap(rays) == _keyed_swap_count(rays), bound
+    listed, count = box_rays(bound, max_box)
+    assert [list(t.entries.items()) for t in listed] == items, bound
+    assert count == count_up_to_swap(rays) == _keyed_swap_count(rays), bound
     return rays
 
 
@@ -751,6 +757,37 @@ def test_swap_classes_by_burnside(box):
     fixed = sum(table.swap_xy() == table for table in rays)
     assert fixed == SELF_TRANSPOSE_REGIONS[box] + 2
     assert 2 * count_up_to_swap(rays) == len(rays) + fixed
+
+
+def test_listing_past_the_default_guard():
+    """k up to 4 with a long side of 8 table columns or rows."""
+    _check_listing((7, 3), max_box=7)
+    _check_listing((3, 7), max_box=7)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("other", range(7))
+def test_listing_matches_the_keyed_route_at_six(other):
+    _check_listing((6, other))
+    if other != 6:
+        _check_listing((other, 6))
+
+
+def test_every_seed_key_is_its_own_mirror():
+    """box_rays drops the listed seeds from its swap count, which
+    needs each to be its own mirror."""
+    for key in SEED_KEYS:
+        assert tuple(sorted(((i, (b, a)), c)
+                            for (i, (a, b)), c in key)) == key
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_dense_shapes_transpose_to_dense_shapes(k):
+    """box_rays finds a placement's mirror among the placements of the
+    same k, which needs the shapes closed under transposing."""
+    shapes = {tuple(shape) for shape in _dense_shapes(k)}
+    assert {tuple(sorted((i, b, a) for i, a, b in shape))
+            for shape in shapes} == shapes
 
 
 def test_swap_classes_count_a_mirror_pair_once():

@@ -277,6 +277,16 @@ def test_bigraded_rays_json(capsys):
     assert len(obj["rays"]) == 11
 
 
+@pytest.mark.parametrize("box, count, swapped", [
+    ("5,3", 327, 299), ("2,5", 85, 82), ("6,2", 133, 130),
+    ("1,6", 21, 21), ("0,6", 0, 0)])
+def test_bigraded_rays_summary_at_non_square_boxes(capsys, box, count,
+                                                   swapped):
+    assert run(["bigraded", "rays", "--box", box]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"{count} rays up to scalar ({swapped} after swapping x and y)"
+
+
 def test_bigraded_rays_guard(capsys):
     assert run(["bigraded", "rays", "--box", "9,9"]) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -603,6 +613,23 @@ def test_json_writer_matches_json_dumps_on_shared_objects(shared, other):
     levels deeper: the writer may reuse its text only at the same
     indentation."""
     obj = [shared, other, shared, {"in": shared, "deeper": [shared]}]
+    assert cli._json_text(obj, "\n") == json.dumps(obj, indent=2)
+
+
+_ENTRY = {"i": 1, "deg": [2, 0], "b": 1}
+
+
+@pytest.mark.parametrize("obj", [
+    [{"x": _ENTRY}, [_ENTRY]],
+    [[_ENTRY], {"x": _ENTRY}],
+    [_ENTRY, [_ENTRY]],
+    [[_ENTRY], _ENTRY],
+], ids=["dict-value-then-element", "element-then-dict-value",
+        "element-then-deeper", "deeper-then-element"])
+def test_json_writer_reads_a_list_element_from_its_indentation(obj):
+    """One dict as a dict value and as a list element at one
+    indentation, in either order, where the list reads the kept text;
+    and as a list element at two indentations, where it must not."""
     assert cli._json_text(obj, "\n") == json.dumps(obj, indent=2)
 
 
