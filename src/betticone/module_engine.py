@@ -587,26 +587,6 @@ def dual_module(mod):
     return FiniteModule._trusted(dims, mult_x, mult_y)
 
 
-def presentation_to_json_obj(pm):
-    entries = []
-    for r in range(len(pm.row_degrees)):
-        row = []
-        for c in range(len(pm.col_degrees)):
-            s = pm.scalars[r][c]
-            if s == 0:
-                row.append([])
-            else:
-                e = pm.entry_exponent(r, c)
-                row.append([[str(s), [e[0], e[1]]]])
-        entries.append(row)
-    return {
-        "kind": "presentation",
-        "rows": [[a, b] for a, b in pm.row_degrees],
-        "cols": [[a, b] for a, b in pm.col_degrees],
-        "entries": entries,
-    }
-
-
 def _json_term(term):
     if not isinstance(term, (list, tuple)) or len(term) != 2:
         raise ValueError(

@@ -29,21 +29,23 @@ A region is yielded once a cycle has closed.  A staircase region has
 finite length, so its table passes the K-polynomial test, which needs
 the signed counts of each row to cancel: no row holds a single vertex,
 so every row holds two and the graph is that one cycle.  The walk
-keeps exactly the certified regions (439 of 1145 at box (4,4)); its
-state is one hashable frontier, and _step its one transition.
+over a whole box keeps exactly the certified regions (439 of 1145 at
+box (4,4)); its state is one hashable frontier, and _step its one
+transition.
 
 The listing walks only the dense shapes, the certified tables that use
 every table column and row, one walk of box k - 1 per k, and places
 each in the box (461 steps at box (4,4) instead of the full walk's
 1449); box_rays counts the swap classes off the same placements,
-without a pass over the rays.  The full walk, pruned_regions, is the
-reference route.  Both are one skeleton, _walk, with one column-choice
-rule; the dense walk also cuts an empty finished table column.  Each
-walk reads a closed region's table off its columns at the leaf with
-staircase_betti, the one route from columns to a table.  The tests
-also keep the unpruned walk over every staircase region, and every
-pair of generator antichains in the box with its quotient module
-through the Koszul oracle.
+without a pass over the rays.  That walk, _dense_shapes, also cuts a
+branch as soon as a finished table column is empty, and reads a
+closed region's table off its columns at the leaf with
+staircase_betti, the one route from columns to a table.  The full
+walk over a box is the tests' reference route, pruned_regions in
+tests/test_bigraded.py, written there on its own, without _step.  The
+tests also keep the unpruned walk over every staircase region, and
+every pair of generator antichains in the box with its quotient
+module through the Koszul oracle.
 """
 
 from itertools import combinations
@@ -150,61 +152,46 @@ def _step(a, prev, col, ends):
     return part, tuple(ends_next)
 
 
-def _walk(width, height, dense):
-    """The regions inside [0, width) x [0, height) whose last step
-    closes the cycle, as tuples of columns, each once, lazily, in a
-    fixed order; with dense, cut also as soon as a finished table
-    column is empty.  This is the one statement of the column-choice
-    rule that pruned_regions derives; each choice goes through _step,
-    and the walk recurses on what it returns, undoing nothing."""
-    def walk(a, p, q, columns, ends):
-        prev = columns[-1] if columns else None
-        if a == width:
-            last = _step(a, prev, None, ends)
-            if last is not None and last[1] is None and (last[0] or not dense):
-                yield columns
-            return
-        choices = [(None, p, p)]
-        choices += [((low, high), low, high)
-                    for low in range(min(p, height - 1) + 1)
-                    for high in range(low + 1, q + 1)]
-        for col, p_next, q_next in choices:
-            step = _step(a, prev, col, ends)
-            if step is not None and (step[0] or not dense):
-                yield from walk(a + 1, p_next, q_next, columns + (col,),
-                                step[1])
-
-    yield from walk(0, height, height, (), tuple(range(height + 1)))
-
-
-def pruned_regions(bound_a, bound_b):
-    """Staircase regions inside [0, bound_a) x [0, bound_b) whose tables
-    pass the extremality certificate, as (columns, table) pairs.
+def _dense_shapes(k):
+    """The certified region tables in box (k - 1, k - 1) that use all k
+    table columns, each as its sorted (i, a, b) triples, each once,
+    lazily, in a fixed order.
 
     A region is a set S = I minus J for monomial ideals J inside I,
     that is, an order-convex set of exponent pairs, given as a tuple
-    of bound_a columns, each None (empty) or a pair (l, u) for the
+    of k - 1 columns, each None (empty) or a pair (l, u) for the
     cells (a, l) .. (a, u - 1).  The walk places columns left to
     right, carrying the column starts p of the up-set U = up(S) and q
-    of V = U minus S, both bound_b before the first cell: a column is
+    of V = U minus S, both k - 1 before the first cell: a column is
     empty, which leaves U's start at p and forces V's start there too,
     or an interval [l, u) with l <= p (else U's cell (a, p) would sit
-    in V below S) and u <= q (V is closed upward).  Each region comes
-    once, lazily, in a fixed order, with the table staircase_betti
-    reads off its columns at the leaf.
+    in V below S) and u <= q (V is closed upward).  Each choice goes
+    through _step, which cuts by the module docstring's rules, and the
+    walk recurses on what it returns, undoing nothing; it cuts also as
+    soon as a finished table column is empty, and yields a region
+    whose last step closes the cycle, its table read off its columns
+    at the leaf by staircase_betti.  Without that last cut this is the
+    tests' pruned_regions, the full walk of the box.
     """
-    for columns in _walk(bound_a, bound_b, dense=False):
-        yield columns, staircase_betti(columns)
+    def walk(a, p, q, columns, ends):
+        prev = columns[-1] if columns else None
+        if a == k - 1:
+            last = _step(a, prev, None, ends)
+            if last is not None and last[0] and last[1] is None:
+                yield sorted([(i, a, b) for i, (a, b)
+                              in staircase_betti(columns).entries])
+            return
+        choices = [(None, p, p)]
+        choices += [((low, high), low, high)
+                    for low in range(min(p, k - 2) + 1)
+                    for high in range(low + 1, q + 1)]
+        for col, p_next, q_next in choices:
+            step = _step(a, prev, col, ends)
+            if step is not None and step[0]:
+                yield from walk(a + 1, p_next, q_next, columns + (col,),
+                                step[1])
 
-
-def _dense_shapes(k):
-    """The certified region tables in box (k - 1, k - 1) that use all k
-    table columns, each as its sorted (i, a, b) triples: pruned_regions'
-    walk, cut also as soon as a finished table column is empty, with
-    each table read off its columns at the leaf by staircase_betti."""
-    for columns in _walk(k - 1, k - 1, dense=True):
-        yield sorted([(i, a, b)
-                      for i, (a, b) in staircase_betti(columns).entries])
+    yield from walk(0, k - 1, k - 1, (), tuple(range(k)))
 
 
 def seed_catalogue():
@@ -254,8 +241,9 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     The region tables are listed as placements of dense shapes: each
     table of _dense_shapes(k) with its columns a and rows b sent to
     cols[a] and rows[b], for k of the B1 + 1 table columns and k of
-    the B2 + 1 rows.  These are exactly the tables pruned_regions(B1,
-    B2) yields, which certify:
+    the B2 + 1 rows.  These are exactly the certified region tables
+    of the box, those the full walk (the tests' pruned_regions(B1,
+    B2)) yields:
     - Stretching.  By _table_column, table column c is empty exactly
       when region columns c - 1 and c are equal (None outside the
       grid): its Euler characteristic at (c, b) is f(b) - f(b - 1),
@@ -347,12 +335,12 @@ def box_rays(bound, max_box=DEFAULT_MAX_BOX):
     if max_box < 0:
         raise ValueError(
             f"max_box must be a nonnegative integer, got {max_box}")
+    if b1 < 0 or b2 < 0:
+        raise ValueError("box corners must be nonnegative")
     if b1 > max_box or b2 > max_box:
         raise BoundTooLarge(
             f"box {bound} exceeds the guard {max_box}; raise --max-box "
             "if you mean it")
-    if b1 < 0 or b2 < 0:
-        raise ValueError("box corners must be nonnegative")
 
     width, height = b1 + 1, b2 + 1
     # code[i][x][y] is the code of ((i, (x, y)), 1) and entry[c] the

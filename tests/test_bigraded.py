@@ -6,8 +6,11 @@ every pair of generator antichains in the box through the Koszul
 oracle, and every subset of the low grid kept when it is shaped like a
 staircase region.  Agreement between the routes is the completeness
 evidence for the box scan.  The unpruned region walk kept here is the
-reference for the library's pruned walk: the pruned walk may only
-leave out regions whose tables fail the certificate.
+reference for the certified walk pruned_regions, kept here too, which
+may only leave out regions whose tables fail the certificate; it
+shares no code with the library's transition _step, and its tables
+filtered to those that use every column are the reference for the
+library's dense-shape walk.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from betticone.bigraded import (
 )
 from betticone import rays as rays_module
 from betticone.rays import (DEFAULT_MAX_BOX, SEED_KEYS, _dense_shapes, _step,
-                            pruned_regions, staircase_betti)
+                            _table_column, staircase_betti)
 
 KOSZUL_ENTRIES = {
     (0, (0, 0)): 1,
@@ -600,6 +603,79 @@ def staircase_regions(bound_a, bound_b):
     yield from walk(0, bound_b, bound_b)
 
 
+def pruned_regions(bound_a, bound_b):
+    """Staircase regions inside [0, bound_a) x [0, bound_b) whose tables
+    pass the extremality certificate, as (columns, table) pairs, each
+    once, lazily, in staircase_regions' order.
+
+    The reference route for the library's certified walk, written
+    without its transition _step: the columns are chosen as in
+    staircase_regions, table column a is read off by _table_column as
+    soon as region column a is placed, and a branch is cut by the rules
+    of the rays module docstring.  rows[b] counts the vertices of row
+    b, and ends[b] is the other end of the path that ends at row b (one
+    vertex), or b itself (no vertex); both are undone after each
+    branch.  A leaf's table goes through the public constructor.
+    """
+    columns = []
+    parts = []
+    rows = [0] * (bound_b + 1)
+    ends = list(range(bound_b + 1))
+
+    def place(a, prev, col, closed):
+        """Table column a, the rows of its two vertices (or none), and
+        whether the cycle has closed after it; None to cut."""
+        part = _table_column(a, prev, col)
+        rows_hit = {}
+        for _, (_, b) in part:
+            rows_hit[b] = None
+        if not rows_hit:
+            return part, (), closed
+        if len(rows_hit) != 2 or closed:
+            return None
+        u, v = rows_hit
+        if rows[u] == 2 or rows[v] == 2:
+            return None
+        return part, (u, v), ends[u] == v
+
+    def walk(a, p, q, prev, closed):
+        if a == bound_a:
+            last = place(a, prev, None, closed)
+            if last and last[2]:
+                entries = {}
+                for part in parts + [last[0]]:
+                    entries.update(part)
+                yield tuple(columns), BigradedBettiTable(entries)
+            return
+        choices = [(None, p, p)]
+        choices += [((low, high), low, high)
+                    for low in range(min(p, bound_b - 1) + 1)
+                    for high in range(low + 1, q + 1)]
+        for col, p_next, q_next in choices:
+            placed = place(a, prev, col, closed)
+            if placed is None:
+                continue
+            part, joined, closed_next = placed
+            if joined:
+                u, v = joined
+                eu, ev = ends[u], ends[v]
+                saved = ends[eu], ends[ev]
+                ends[eu], ends[ev] = ev, eu
+                rows[u] += 1
+                rows[v] += 1
+            columns.append(col)
+            parts.append(part)
+            yield from walk(a + 1, p_next, q_next, col, closed_next)
+            parts.pop()
+            columns.pop()
+            if joined:
+                rows[u] -= 1
+                rows[v] -= 1
+                ends[eu], ends[ev] = saved
+
+    yield from walk(0, bound_b, bound_b, None, False)
+
+
 def _cells(columns):
     return {(a, b) for a, col in enumerate(columns) if col
             for b in range(*col)}
@@ -979,8 +1055,8 @@ def test_step_cuts_joins_and_closes():
     assert _step(2, None, None, None) == ({}, None)
 
 
-# SHA-256 of repr(list(pruned_regions(*box))), taken from the walk that
-# kept its rows and path ends in arrays it undid after each branch.
+# SHA-256 of repr(list(pruned_regions(*box))), taken from this walk
+# while it was the library's.
 PINNED_WALKS = {
     (4, 4): "deda618c047e9714712bf666d01a30a253fe776c"
             "9046e9ac856fe857205ad910",
@@ -1067,9 +1143,16 @@ def test_dense_shapes_are_the_full_walk_filtered(k):
     _check_dense_shapes(k)
 
 
+# Calls to _step per listing: the dense-shape walks of boxes 1 .. m
+# for m = min(B1, B2), so 5,3 and 3,5 take the steps of 3,3.
+LISTING_STEPS = {(3, 3): 106, (4, 4): 461, (5, 3): 106, (3, 5): 106,
+                 (5, 5): 1899, (6, 6): 7749}
+
+
 def test_listing_walks_the_dense_shapes_only(monkeypatch):
-    """The listing walks box k - 1 per k, not the full box: the full
-    walk takes 1449 steps at box 4,4 and 64509 at box 6,6."""
+    """The listing walks box k - 1 per k, not the full box, and takes
+    exactly the pinned steps: the full walk takes 1449 steps at box 4,4
+    and 64509 at box 6,6."""
     calls = []
 
     def counted(*args):
@@ -1077,11 +1160,10 @@ def test_listing_walks_the_dense_shapes_only(monkeypatch):
         return _step(*args)
 
     monkeypatch.setattr(rays_module, "_step", counted)
-    enumerate_box_rays((4, 4))
-    assert len(calls) <= 600
-    calls.clear()
-    enumerate_box_rays((6, 6))
-    assert len(calls) <= 9000
+    for box, steps in LISTING_STEPS.items():
+        calls.clear()
+        box_rays(box)
+        assert len(calls) == steps, box
 
 
 @pytest.mark.slow

@@ -399,6 +399,8 @@ def test_rays_guard_variable_must_be_nonnegative():
     (["es-plan", "0,1.5,3"], "degrees must be an integer, got '1.5'"),
     (["bigraded", "rays", "--box", "3,3", "--max-box", "-3"],
      "--max-box must be a nonnegative integer, got -3"),
+    (["bigraded", "rays", "--box", "-1,9"],
+     "box corners must be nonnegative"),
 ])
 def test_integer_list_errors_name_the_field(capsys, argv, message):
     assert run(argv) == 1

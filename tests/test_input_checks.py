@@ -23,6 +23,7 @@ from betticone import (
     NonIncreasingDegrees,
     PresentationMatrix,
     PureTable,
+    box_rays,
     enumerate_box_rays,
     line_bundle_cohomology,
     normalize_positive_integers,
@@ -87,6 +88,14 @@ CHECKS = {
         "expected a presentation object"),
     "negative-box": (ValueError, lambda: enumerate_box_rays((-1, 2)),
                      "box corners must be nonnegative"),
+    # The sign is checked before the guard: raising max_box would not
+    # help a negative corner.
+    "negative-box-past-the-guard": (
+        ValueError, lambda: box_rays((-1, 9)),
+        "box corners must be nonnegative"),
+    "negative-second-corner-past-the-guard": (
+        ValueError, lambda: box_rays((9, -1)),
+        "box corners must be nonnegative"),
 }
 
 

@@ -7,7 +7,9 @@ process environment: every setting is an argument or a command line
 option.  No module calls json's indenting encoder.  The linear algebra
 kernel imports nothing from fractions.  Only the package calls the
 trusted constructors that skip input checks.  Only the value base class
-writes __eq__ and __hash__, and every imported name is used.
+writes __eq__ and __hash__, and every imported name is used.  Every
+public top-level name is read by the package, exported, or imported by
+the acceptance tests.
 """
 
 from __future__ import annotations
@@ -175,4 +177,55 @@ def test_every_imported_name_is_used():
         found += [f"{name} line {line}: {bound}"
                   for bound, line in _imported_names(tree)
                   if bound not in used]
+    assert not found, found
+
+
+def _public_definitions(tree):
+    """(name, statement) for each public function, class and constant
+    a module defines at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if not name.startswith("_"))
+
+
+def _names_read(node):
+    """Every name a statement reads, attributes and imported names
+    included."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def test_the_library_keeps_only_what_it_calls():
+    """Each public top-level name of the package is read by package code
+    outside its own definition (an import in __init__ exports it), or
+    is imported by the acceptance tests; a helper that only the tests
+    call lives in the tests."""
+    accepted = {alias.name
+                for node in ast.walk(ast.parse(
+                    (REPO / "tests" / "test_acceptance.py").read_text(
+                        encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "betticone"
+                for alias in node.names}
+    reads = [(node, _names_read(node))
+             for tree in MODULES.values() for node in tree.body]
+    found = [f"{module}.{name}"
+             for module, tree in MODULES.items()
+             for name, definition in _public_definitions(tree)
+             if name not in accepted
+             and not any(name in names for node, names in reads
+                         if node is not definition)]
     assert not found, found

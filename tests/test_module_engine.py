@@ -44,10 +44,7 @@ from betticone import (
 from betticone import _linalg, module_engine
 from betticone._linalg import insert_row, integer_rows, rank
 from betticone.bigraded import integral_bidegree
-from betticone.module_engine import (
-    presentation_from_json_obj,
-    presentation_to_json_obj,
-)
+from betticone.module_engine import presentation_from_json_obj
 
 SQUARE = MonomialPair([(0, 0)], [(2, 0), (1, 1), (0, 2)])
 AXES_MOD = MonomialPair([(1, 0), (0, 1)], [(2, 0), (1, 2), (0, 3)])
@@ -73,6 +70,29 @@ HEART = PresentationMatrix(
         [[], [(1, (2, 0))], [(1, (1, 1))], [(1, (0, 2))]],
     ],
 )
+
+
+def presentation_to_json_obj(pm):
+    """The JSON object presentation_from_json_obj reads back as pm: one
+    [coefficient, exponent] term per nonzero entry, the coefficient a
+    string."""
+    entries = []
+    for r in range(len(pm.row_degrees)):
+        row = []
+        for c in range(len(pm.col_degrees)):
+            s = pm.scalars[r][c]
+            if s == 0:
+                row.append([])
+            else:
+                e = pm.entry_exponent(r, c)
+                row.append([[str(s), [e[0], e[1]]]])
+        entries.append(row)
+    return {
+        "kind": "presentation",
+        "rows": [[a, b] for a, b in pm.row_degrees],
+        "cols": [[a, b] for a, b in pm.col_degrees],
+        "entries": entries,
+    }
 
 
 _ONE = Fraction(1)
