@@ -10,10 +10,10 @@ table survives exactly when no factor twist d_{i-1} - t lies in that
 factor's vanishing window -m_i <= e <= -1, which happens for t in
 {d_0, ..., d_n}.  The surviving rank is a binomial times a product of
 line bundle cohomology dimensions; no differentials are computed here,
-only twists, survivors, and ranks.  es_ranks takes those dimensions
-from the closed form behind line_bundle_cohomology without its
-argument checks, since a plan's factors are ints with m > 0 by
-construction.
+only twists, survivors, and ranks.  es_ranks multiplies the closed
+form of line_bundle_cohomology inline, in one loop over degrees and
+factors and without its argument checks, since a plan's factors are
+ints with m > 0 by construction.
 """
 
 from math import comb
@@ -42,11 +42,6 @@ def line_bundle_cohomology(m, e):
     e = integral(e, "twist")
     if m < 0:
         raise ValueError("projective space dimension must be >= 0")
-    return _cohomology(m, e)
-
-
-def _cohomology(m, e):
-    """line_bundle_cohomology for ints m >= 0 and e, unchecked."""
     if m == 0:
         return (1, 0)
     if in_vanishing_window(m, e):
@@ -130,25 +125,28 @@ def es_ranks(p):
     """Raw construction ranks of the pure resolution for plan p.
 
     beta_k = C(d_n, d_k) * prod_i h(P^{m_i}, O(d_{i-1} - d_k)) where h
-    is the section count for nonnegative twist and the top cohomology
-    for twist <= -m_i - 1.  Ranks are returned unnormalized so they can
+    is the section count C(e+m, m) for twist e >= 0 and the top
+    cohomology C(-e-1, m) for e <= -m_i - 1, the closed form of
+    line_bundle_cohomology.  Ranks are returned unnormalized so they can
     be compared directly against a construction's printed values;
     divide by the gcd to reach the minimal Herzog-Kuhl representative.
     """
-    degs = p.degrees.degrees
+    factors = p.factors
     mults = []
-    for k, dk in enumerate(degs):
+    for k, dk in enumerate(p.degrees.degrees):
         rank = comb(p.ambient_vars, dk)
         # The plan's factors have ints m > 0 and base, so the closed
-        # form needs no argument checks.
-        for m, base in p.factors:
+        # form needs no argument checks and no point case.
+        for m, base in factors:
             e = base - dk
-            h0, htop = _cohomology(m, e)
-            if not (h0 or htop):
+            if e >= 0:
+                rank *= comb(e + m, m)
+            elif e < -m:
+                rank *= comb(-e - 1, m)
+            else:
                 raise CollapsedSurvivor(
                     f"survivor row d_{k}={dk} hits the vanishing window "
                     f"of a P^{m} factor (twist {e})")
-            rank *= h0 or htop
         mults.append(rank)
     # Each rank is C(d_n, d_k) > 0 (0 <= d_k <= d_n) times positive
     # cohomology counts; a zero count raised CollapsedSurvivor above.

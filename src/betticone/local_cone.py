@@ -13,13 +13,18 @@ as the ray coefficients: v = sum c_i rho_i with c_i = s_{i+1}.  The
 cone is open, so rays are approached but never reached; limit_table
 builds the pure-table witnesses that converge to each ray.
 
-Column sums run on a graded table's integer numerators over its scale.
-is_in_local_cone is the one route to the back partial sums: it sums
-the vector's numerators over the lcm of its denominators, reads its
-signs off those ints and returns exact Fractions, which
-local_ray_coefficients returns as the coefficients.  The vectors the
-module builds itself skip the constructor's checks; a table over no
-variables is still refused, since nvars = 0 is a legal table.
+A vector holds its entries as int numerators over one positive scale,
+as a graded table does, and the public constructor clears them through
+tables.clear_denominators, the one clearing route; no other call here
+clears anything.  Column sums run on a graded table's numerators and
+keep its scale, and a limit vector keeps its multiplicities over
+mult[i].  is_in_local_cone is the one route to the back partial sums:
+it sums the vector's numerators in ints and reads its signs off them;
+the verdict keeps those ints and the scale and builds the exact
+Fractions only when a caller reads them, as local_ray_coefficients
+does for the coefficients.  The vectors the module builds itself skip
+the constructor's checks; a table over no variables is still refused,
+since nvars = 0 is a legal table.
 """
 
 from fractions import Fraction
@@ -36,9 +41,17 @@ _TOO_SHORT = "need at least beta_0 and beta_1 (dim >= 1)"
 
 
 class LocalBettiVector(Value):
-    """Nonnegative rational vector (beta_0, ..., beta_n), n = dim R."""
+    """Nonnegative rational vector (beta_0, ..., beta_n), n = dim R.
 
-    __slots__ = ("entries",)
+    As in a GradedBettiTable, the vector also holds its entries cleared
+    over one positive common denominator: .numerators is a tuple of
+    nonnegative ints and .scale a positive int, with entries[k] ==
+    Fraction(numerators[k], scale).  The public constructor takes the
+    lcm of the denominators; a vector the library builds may carry a
+    multiple of it, such as the scale of the table it sums.
+    """
+
+    __slots__ = ("entries", "numerators", "scale")
 
     def __init__(self, entries):
         vals = tuple(v if type(v) is Fraction else Fraction(v)
@@ -48,15 +61,19 @@ class LocalBettiVector(Value):
         if any(v < 0 for v in vals):
             raise ValueError("Betti numbers are nonnegative")
         self.entries = vals
+        numerators, self.scale = clear_denominators(dict(enumerate(vals)))
+        self.numerators = tuple(numerators.values())
 
     @classmethod
-    def _trusted(cls, entries):
-        """A vector over a tuple already in the form __init__ produces:
-        at least two nonnegative Fractions.  It skips every check, so
-        only library code whose entries have that form by construction
-        calls it, and says why at the call."""
+    def _trusted(cls, numerators, scale):
+        """A vector over a tuple of at least two nonnegative ints and a
+        positive int scale; the entries are built from them.  It skips
+        every check, so only library code whose values have that form
+        by construction calls it, and says why at the call."""
         vec = cls.__new__(cls)
-        vec.entries = entries
+        vec.numerators = numerators
+        vec.scale = scale
+        vec.entries = tuple([Fraction(c, scale) for c in numerators])
         return vec
 
     @property
@@ -91,22 +108,39 @@ class LocalBettiVector(Value):
 
 def ray_vector(index, n):
     """rho_index = e_index + e_{index+1} in dimension n."""
+    index = integral(index, "ray index")
+    n = integral(n, "dimension")
     if not 0 <= index <= n - 1:
         raise ValueError(f"ray index {index} outside 0..{n - 1}")
     v = [0] * (n + 1)
     v[index] = v[index + 1] = 1
-    return LocalBettiVector(v)
+    # n >= index + 1 >= 1, so the n + 1 >= 2 entries are 0s and 1s.
+    return LocalBettiVector._trusted(tuple(v), 1)
 
 
 class LocalVerdict:
-    """Membership verdict plus every sum the test computed."""
+    """Membership verdict plus every sum the test computed.
 
-    __slots__ = ("verdict", "alternating_sum", "partial_sums")
+    The sums are kept as the ints m * s_0, ..., m * s_n over the
+    vector's scale m; alternating_sum (s_0) and partial_sums
+    (s_1..s_n) build their Fractions on each read.
+    """
 
-    def __init__(self, verdict, alternating_sum, partial_sums):
+    __slots__ = ("verdict", "sums", "scale")
+
+    def __init__(self, verdict, sums, scale):
         self.verdict = verdict
-        self.alternating_sum = alternating_sum
-        self.partial_sums = tuple(partial_sums)
+        self.sums = sums
+        self.scale = scale
+
+    @property
+    def alternating_sum(self):
+        return Fraction(self.sums[0], self.scale)
+
+    @property
+    def partial_sums(self):
+        m = self.scale
+        return tuple([Fraction(s, m) for s in self.sums[1:]])
 
     def is_inside(self):
         return self.verdict == INSIDE
@@ -127,24 +161,24 @@ def is_in_local_cone(v):
     """
     if not isinstance(v, LocalBettiVector):
         v = LocalBettiVector(v)
-    numerators, m = clear_denominators(dict(enumerate(v.entries)))
-    # sums[i] = m * s_i, a plain int, summed from s_n down to s_0; m is
-    # positive, so each has the sign of s_i.
+    numerators = v.numerators
+    # sums[i] = m * s_i, a plain int over the vector's scale m, summed
+    # from s_n down to s_0; m is positive, so each has the sign of s_i.
     sums = [0] * len(numerators)
     acc = 0
     for k in reversed(range(len(sums))):
         acc = sums[k] = numerators[k] - acc
-    total, partials = sums[0], sums[1:]
-    if total:
+    if sums[0]:
         verdict = OUTSIDE
-    elif all(s > 0 for s in partials):
-        verdict = INSIDE
-    elif all(s >= 0 for s in partials):
-        verdict = BOUNDARY
     else:
-        verdict = OUTSIDE
-    return LocalVerdict(verdict, Fraction(total, m),
-                        [Fraction(s, m) for s in partials])
+        partials = sums[1:]
+        if all(s > 0 for s in partials):
+            verdict = INSIDE
+        elif all(s >= 0 for s in partials):
+            verdict = BOUNDARY
+        else:
+            verdict = OUTSIDE
+    return LocalVerdict(verdict, tuple(sums), v.scale)
 
 
 def local_ray_coefficients(v):
@@ -172,9 +206,9 @@ def local_from_graded(t):
     sums = [0] * (t.nvars + 1)
     for (i, _), c in t.numerators.items():
         sums[i] += c
-    # Entries are positive and 0 <= i <= nvars, so the nvars + 1 sums
-    # are nonnegative.
-    return LocalBettiVector._trusted(tuple([Fraction(c, m) for c in sums]))
+    # Entries are positive and 0 <= i <= nvars, so the nvars + 1 >= 2
+    # sums are nonnegative ints over the table's positive scale.
+    return LocalBettiVector._trusted(tuple(sums), m)
 
 
 def limit_degrees(i, j, n):
@@ -201,10 +235,9 @@ def limit_table(i, j, n):
     256) and fails from n = 5: at n = 5, i = 0, j = 2 it is 105/32.
     """
     mult = hk_pure_table(limit_degrees(i, j, n)).multiplicities
-    scale = mult[integral(i, "ray index")]
-    # n + 1 >= 2 positive multiplicities (limit_degrees needs i <= n - 1).
-    return LocalBettiVector._trusted(tuple([Fraction(b, scale)
-                                            for b in mult]))
+    # n + 1 >= 2 positive int multiplicities (limit_degrees needs
+    # i <= n - 1), over the positive int mult[i].
+    return LocalBettiVector._trusted(mult, mult[integral(i, "ray index")])
 
 
 def sup_distance(u, v):

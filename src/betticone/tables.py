@@ -22,9 +22,11 @@ sums of local_cone read the table's numerators over its scale, the lcm
 of the denominators, and the pure multiplicities come from integer
 products of degree differences.  Entries and results stay exact
 Fractions.  clear_denominators is the one clearing route (the table
-constructor, normalize_positive_integers and local_cone's partial sums
-go through it), and check_hk_equations is the one Herzog-Kuhl test,
-which bs_cone's greedy also calls.
+constructor, local_cone's LocalBettiVector constructor and
+normalize_positive_integers go through it), and check_hk_equations is
+the one Herzog-Kuhl test, which bs_cone's greedy also calls.  The
+finite length test on the numerator divides by (1-t) with prefix sums
+and is a separate route from the Herzog-Kuhl test.
 
 The layer builds its own values unchecked: DegreeSequence, PureTable,
 HilbertNumerator and GradedBettiTable (and local_cone's
@@ -35,6 +37,7 @@ keep every check for other callers.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm, prod
 
 from .bigraded import (Value, integral, json_int, json_list, json_rational,
@@ -362,28 +365,33 @@ def hilbert_numerator(t):
 def is_finite_length_numerator(h, nvars):
     """True iff (1-t)^nvars divides the numerator.
 
-    Division happens over the integers by the running-sum rule: the
-    quotient of p by (1-t) has q_j = sum_{k <= j} p_k, and the division
-    is exact precisely when p(1) = 0.  Negative degrees are fine; t^m
-    is a unit and does not affect divisibility by 1-t.
+    The coefficients are written once into a dense int list p from the
+    lowest degree lo to the highest, with zeros in the gaps.  The list
+    is the polynomial P = t^(-lo) * h, and t^(-lo) is a unit of the
+    Laurent ring, so (1-t)^nvars divides h exactly when it divides P;
+    the zeros write the same polynomial.  P = (1-t) * Q has a solution
+    exactly when P(1) = 0, and then Q has q_i = p_0 + ... + p_i: the
+    running sums itertools.accumulate gives, whose last element is
+    P(1).  So each division is one accumulate and one pop, and the
+    quotient is again a dense list from degree 0.
     """
     nvars = integral(nvars, "nvars")
     if nvars < 0:
         raise ValueError("nvars must be nonnegative")
-    coeffs = dict(h.coefficients)
+    coeffs = h.coefficients
+    if not coeffs:
+        return True
+    lo = min(coeffs)
+    p = [0] * (max(coeffs) - lo + 1)
+    for j, c in coeffs.items():
+        p[j - lo] = c
     for _ in range(nvars):
-        if not coeffs:
-            return True
-        if sum(coeffs.values()) != 0:
+        # A nonzero P of degree < len(p) stays nonzero after an exact
+        # division, and a one-element list is a nonzero constant, whose
+        # value at 1 is itself; so the loop ends within len(p) steps.
+        p = list(accumulate(p))
+        if p.pop():
             return False
-        lo, hi = min(coeffs), max(coeffs)
-        quotient = {}
-        running = 0
-        for j in range(lo, hi):
-            running += coeffs.get(j, 0)
-            if running:
-                quotient[j] = running
-        coeffs = quotient
     return True
 
 

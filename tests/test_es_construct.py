@@ -253,11 +253,55 @@ def test_trusted_plans_and_ranks_pass_the_public_constructors(values):
     rebuilt = PureTable(d.degrees, ranks.multiplicities)
     assert rebuilt == ranks
     assert repr(rebuilt.multiplicities) == repr(ranks.multiplicities)
-    want = []
-    for dk in d:
+    assert ranks.multiplicities == _reference_es_ranks(p)
+
+
+# es_ranks multiplies the cohomology closed form inline.  This is the
+# per-factor loop over the public line_bundle_cohomology that it
+# replaced, kept as an independent reference.
+
+def _reference_es_ranks(p):
+    mults = []
+    for k, dk in enumerate(p.degrees):
         rank = comb(p.ambient_vars, dk)
         for m, base in p.factors:
-            h0, htop = line_bundle_cohomology(m, base - dk)
+            e = base - dk
+            h0, htop = line_bundle_cohomology(m, e)
+            if not (h0 or htop):
+                raise CollapsedSurvivor(
+                    f"survivor row d_{k}={dk} hits the vanishing window "
+                    f"of a P^{m} factor (twist {e})")
             rank *= h0 or htop
-        want.append(rank)
-    assert list(ranks.multiplicities) == want
+        mults.append(rank)
+    return tuple(mults)
+
+
+def test_es_ranks_match_the_cohomology_loop_on_every_short_sequence():
+    """Every strictly increasing sequence 0 = d_0 < ... < d_n <= 12 (a
+    plan translates any other one to such a sequence)."""
+    from itertools import combinations
+    count = 0
+    for n in range(13):
+        for rest in combinations(range(1, 13), n):
+            p = es_plan([0, *rest])
+            assert es_ranks(p).multiplicities == _reference_es_ranks(p)
+            count += 1
+    assert count == 2 ** 12
+
+
+@pytest.mark.parametrize("factors, degrees, message", [
+    (((2, 0),), [0, 1], "survivor row d_1=1 hits the vanishing window "
+                        "of a P^2 factor (twist -1)"),
+    (((1, 3), (3, 0)), [0, 2, 3], "survivor row d_1=2 hits the vanishing "
+                                  "window of a P^3 factor (twist -2)"),
+])
+def test_a_twist_in_the_window_raises_as_the_cohomology_loop_does(
+        factors, degrees, message):
+    """No plan built from a sequence reaches the window (see above), so
+    a plan with forged factors stands in for a malformed one."""
+    p = es_plan(degrees)
+    p.factors = factors
+    for route in (es_ranks, _reference_es_ranks):
+        with pytest.raises(CollapsedSurvivor) as exc:
+            route(p)
+        assert str(exc.value) == message

@@ -28,6 +28,7 @@ from betticone import (
     line_bundle_cohomology,
     normalize_positive_integers,
     pure_from_json_obj,
+    ray_vector,
     sup_distance,
 )
 from betticone.module_engine import presentation_from_json_obj
@@ -96,6 +97,11 @@ CHECKS = {
     "negative-second-corner-past-the-guard": (
         ValueError, lambda: box_rays((9, -1)),
         "box corners must be nonnegative"),
+    # ray_vector reads its ints as limit_degrees does, naming the field.
+    "ray-vector-half-index": (ValueError, lambda: ray_vector(0.5, 2),
+                              "ray index must be an integer, got 0.5"),
+    "ray-vector-half-dimension": (ValueError, lambda: ray_vector(0, 2.5),
+                                  "dimension must be an integer, got 2.5"),
 }
 
 
@@ -104,6 +110,12 @@ def test_each_input_check_raises_its_message(case):
     error, call, message = CHECKS[case]
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+def test_ray_vector_reads_an_integral_float_as_its_int():
+    assert ray_vector(1.0, 2) == ray_vector(1, 2)
+    assert ray_vector(0, 2.0) == ray_vector(0, 2)
+    assert tuple(ray_vector(1.0, 2)) == (0, 1, 1)
 
 
 ZERO_VALUED = {

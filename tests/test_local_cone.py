@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -403,3 +404,56 @@ def test_integer_signs_match_the_fraction_verdict(values):
             "that hyperplane")
     else:
         _same_fractions(local_ray_coefficients(values), want[1:])
+
+
+def _numerators_hold(v):
+    """A vector's entries are its int numerators over its scale."""
+    assert type(v.numerators) is tuple and len(v.numerators) == len(v)
+    assert all(type(c) is int and c >= 0 for c in v.numerators)
+    assert type(v.scale) is int and v.scale > 0
+    assert type(v.entries) is tuple
+    for k, b in enumerate(v.entries):
+        assert type(b) is Fraction
+        assert b == Fraction(v.numerators[k], v.scale)
+
+
+@given(_graded_tables(), st.lists(_NONNEGATIVE, min_size=2, max_size=7),
+       _NONNEGATIVE, st.integers(min_value=0, max_value=5),
+       st.integers(min_value=2, max_value=40),
+       st.integers(min_value=1, max_value=6))
+@settings(max_examples=200)
+def test_every_vector_holds_its_numerators(t, values, c, i, j, n):
+    """Through the public constructor, local_from_graded, limit_table,
+    add and scaled; the public constructor clears to the lcm of the
+    denominators, the others may keep a multiple of it."""
+    public = LocalBettiVector(values)
+    assert public.scale == lcm(*(b.denominator for b in public.entries))
+    graded = local_from_graded(t)
+    assert graded.scale == t.scale
+    vectors = [public, graded, public.scaled(c), public.add(public)]
+    if graded.n == public.n:
+        vectors.append(public.add(graded))
+    if i < n:
+        limit = limit_table(i, j, n)
+        assert limit.numerators == hk_pure_table(limit_degrees(i, j, n)) \
+            .multiplicities and limit.scale == limit.numerators[i]
+        vectors.append(limit)
+    for v in vectors:
+        _numerators_hold(v)
+
+
+@given(st.lists(_NONNEGATIVE, min_size=2, max_size=7))
+@settings(max_examples=200)
+def test_verdict_properties_are_fraction_tuples(values):
+    """The verdict keeps int sums over the vector's scale, and its two
+    properties build Fractions equal to the Fraction route on each
+    read."""
+    verdict = is_in_local_cone(values)
+    want = _fraction_back_partial_sums(values)
+    total = verdict.alternating_sum
+    assert type(total) is Fraction and total == want[0]
+    partials = verdict.partial_sums
+    assert type(partials) is tuple and partials == tuple(want[1:])
+    assert all(type(s) is Fraction for s in partials)
+    assert verdict.partial_sums == partials
+    assert verdict.partial_sums is not partials

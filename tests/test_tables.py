@@ -689,3 +689,51 @@ def test_zero_entries_leave_no_numerator():
     assert t.scale == 4
     empty = GradedBettiTable(3, {(0, 0): 0, (1, 1): "0/7"})
     assert (empty.entries, empty.numerators, empty.scale) == ({}, {}, 1)
+
+
+# is_finite_length_numerator divides by (1-t) with prefix sums over a
+# dense list.  This is the dict running-sum division it replaced, kept
+# as an independent reference.
+
+def _dict_finite_length_numerator(h, nvars):
+    coeffs = dict(h.coefficients)
+    for _ in range(nvars):
+        if not coeffs:
+            return True
+        if sum(coeffs.values()) != 0:
+            return False
+        lo, hi = min(coeffs), max(coeffs)
+        quotient = {}
+        running = 0
+        for j in range(lo, hi):
+            running += coeffs.get(j, 0)
+            if running:
+                quotient[j] = running
+        coeffs = quotient
+    return True
+
+
+@st.composite
+def _numerators(draw):
+    """A sparse Laurent polynomial over degrees -12..12 (gaps and the
+    zero polynomial included), times (1-t)^k for a drawn k in 0..7, so
+    that divisibility holds to every order up to 7 as well as fails."""
+    coeffs = draw(st.dictionaries(st.integers(min_value=-12, max_value=12),
+                                  st.integers(min_value=-6, max_value=6),
+                                  max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        coeffs = {j: coeffs.get(j, 0) - coeffs.get(j - 1, 0)
+                  for j in range(min(coeffs, default=0),
+                                 max(coeffs, default=-1) + 2)}
+    return HilbertNumerator(coeffs, draw(st.integers(min_value=1,
+                                                     max_value=6)))
+
+
+@given(_numerators())
+@example(HilbertNumerator({}))
+@example(HilbertNumerator({-3: 1, 4: -1}))
+@settings(max_examples=400)
+def test_prefix_sum_division_matches_the_running_sum_route(h):
+    for nvars in range(8):
+        assert is_finite_length_numerator(h, nvars) \
+            == _dict_finite_length_numerator(h, nvars)
