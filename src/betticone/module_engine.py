@@ -289,10 +289,12 @@ def _integer_columns(pm):
 
     Scaling a column changes neither the column space nor the rank of
     any block of rows, so generic_rank and the scans below reduce these
-    int columns.
+    int columns.  With no rows, zip would yield no column at all, so
+    each column is then the empty one.
     """
-    return integer_rows([[row[c] for row in pm.scalars]
-                         for c in range(len(pm.col_degrees))])
+    if not pm.scalars:
+        return [[] for _ in pm.col_degrees]
+    return integer_rows(zip(*pm.scalars))
 
 
 def _column_spans(pm, columns, a, b_grid):
@@ -356,6 +358,13 @@ def coker_presentation(pm):
     only nonzero cells into pieces, and reads the map between two
     cells off once.
 
+    Maps are shared.  Every pair of bidegrees in the same two cells
+    stores the one map read off for them, and every pair of cells with
+    the same free rows stores one identity per size (_cell_map): a free
+    row that stays free maps to its own unit vector.  No code mutates
+    a stored map; each consumer builds new lists from it, so a shared
+    map stays right for every bidegree that stores it.
+
     The module is built unchecked: every piece has its cell's free
     rows as basis, so its dimension is a positive int at an int
     bidegree; a map is stored only between two pieces, as a matrix of
@@ -396,6 +405,7 @@ def coker_presentation(pm):
     pieces = dict(sorted(pieces))
     dims = {alpha: len(cells[corner][0]) for alpha, corner in pieces.items()}
     maps = {}
+    identities = {}
     mult_x = {}
     mult_y = {}
     for alpha, corner in pieces.items():
@@ -405,15 +415,32 @@ def coker_presentation(pm):
                 continue
             if (corner, target) not in maps:
                 maps[corner, target] = _cell_map(cells[corner][0],
-                                                 cells[target])
+                                                 cells[target], identities)
             store[alpha] = maps[corner, target]
     return FiniteModule._trusted(dims, mult_x, mult_y)
 
 
-def _cell_map(free, target):
+def _cell_map(free, target, identities):
     """Matrix of the inclusion of a cell's cokernel basis, its free
-    rows, into the target cell's cokernel, in its free rows."""
+    rows, into the target cell's cokernel, in its free rows.
+
+    Every identity it returns is the one identities holds for its size,
+    so all pairs of cells of a call share it.  A free row that stays
+    free maps to its unit vector, so a target with the same free rows
+    gets the identity at once.  A square map read off pivot vectors
+    that equals the identity is swapped for it too; the identity is
+    symmetric, so comparing the columns compares the matrix."""
     t_free, t_lead = target
+    n = len(free)
+    identity = None
+    if n == len(t_free):
+        identity = identities.get(n)
+        if identity is None:
+            identity = identities[n] = [[ONE if i == j else ZERO
+                                         for j in range(n)]
+                                        for i in range(n)]
+        if free == t_free:
+            return identity
     columns = []
     for r in free:
         vector = t_lead.get(r)
@@ -421,6 +448,8 @@ def _cell_map(free, target):
             columns.append([ONE if f == r else ZERO for f in t_free])
         else:
             columns.append([Fraction(-vector[f], vector[r]) for f in t_free])
+    if columns == identity:
+        return identity
     return transpose(columns)
 
 
@@ -442,13 +471,21 @@ def bigraded_betti(mod):
     (0,1) or (1,1) meets a nonzero piece, and negating the x rows of
     the first map keeps its rank.
 
-    Each distinct stored map (by identity: a presentation's cokernel
-    shares one per pair of cells) is reduced once per call.  r2 is the
-    rank of y over x stacked, r1 of x and y side by side.  Either is at
-    least the larger rank of its two blocks and at most the common
-    width (r2) or height (r1), so a block of full rank there settles
-    it.  Otherwise r2 stacks the two maps' int rows, each row cleared
-    of rationals on its own, and r1 stacks their int columns, since
+    Each distinct stored map is reduced once per call.  Distinct is by
+    identity: a presentation's cokernel shares one map per pair of
+    cells and one identity per size, a monomial quotient one 1 x 1
+    identity, and the dual one transpose of each (coker_presentation
+    gives the proof); no code mutates a stored map, so an object's
+    ranks hold at every bidegree that stores it.  r2 is the rank of y
+    over x stacked, r1 of x and y side by side.  A zero piece at the
+    corner (r2) or here (r1) stores neither map, so the rank is 0; a
+    missing map is zero, so the rank is the other map's; and one
+    object twice has the rank of that map, as [m; -m] and [m | m] have
+    the row and column space of m.  Two distinct maps have a joint rank
+    at least the larger of their ranks and at most the common width
+    (r2) or height (r1), so a block of full rank there settles it.
+    Otherwise r2 stacks the two maps' int rows, each row cleared of
+    rationals on its own, and r1 stacks their int columns, since
     [x | y] has the rank of its transpose.  It stays the Koszul route:
     it reads no corner count and no mirrored table.
     """
@@ -457,11 +494,8 @@ def bigraded_betti(mod):
     columns = {}
 
     def joint_rank(first, second, bound, side_by_side):
-        """Rank of two stored maps (None is a zero map) stacked, or side
-        by side, bound being their common width or height."""
-        if first is None or second is None:
-            m = second if first is None else first
-            return 0 if m is None else ranks[id(m)]
+        """Rank of two distinct stored maps stacked, or side by side,
+        bound being their common width or height."""
         found = max(ranks[id(first)], ranks[id(second)])
         if found == bound:
             return found
@@ -484,8 +518,25 @@ def bigraded_betti(mod):
         d_left = dim(left, 0)
         d_below = dim(below, 0)
         d_here = dim(alpha, 0)
-        r2 = joint_rank(y_at(corner), x_at(corner), d_corner, False)
-        r1 = joint_rank(x_at(left), y_at(below), d_here, True)
+        r2 = r1 = 0
+        if d_corner:
+            first, second = y_at(corner), x_at(corner)
+            if first is None or first is second:
+                if second is not None:
+                    r2 = ranks[id(second)]
+            elif second is None:
+                r2 = ranks[id(first)]
+            else:
+                r2 = joint_rank(first, second, d_corner, False)
+        if d_here:
+            first, second = x_at(left), y_at(below)
+            if first is None or first is second:
+                if second is not None:
+                    r1 = ranks[id(second)]
+            elif second is None:
+                r1 = ranks[id(first)]
+            else:
+                r1 = joint_rank(first, second, d_here, True)
         b2 = d_corner - r2
         b1 = d_left + d_below - r1 - r2
         b0 = d_here - r1
@@ -571,7 +622,11 @@ def dual_module(mod):
     stays absent.  Betti tables transform by
     beta'_{i, alpha} = beta_{2 - i, c + (1,1) - alpha}.  Each distinct
     stored map is transposed once, so the dual shares its maps where
-    the original does.
+    the original does: a cokernel's identity of each size, which
+    coker_presentation shares because a free row that stays free maps
+    to its unit vector, is transposed once into one identity of the
+    dual.  transpose builds new lists and no code mutates a stored
+    map, so the original's maps and the dual's stay apart.
 
     The dual is built unchecked: reflected dims, and stored maps
     between nonzero pieces transposed to the reversed shape, which

@@ -952,6 +952,24 @@ def test_kernel_degrees_without_columns():
         assert kernel_generator_degrees(pm) == []
 
 
+@pytest.mark.parametrize("cols, kernel", [
+    ([(2, 1), (0, 3), (1, 0)], [((0, 3), 1), ((1, 0), 1), ((2, 1), 1)]),
+    ([(2, 1), (0, 3), (2, 1), (1, 0)],
+     [((0, 3), 1), ((1, 0), 1), ((2, 1), 2)]),
+])
+def test_presentation_with_columns_and_no_rows(cols, kernel):
+    """A map into the zero module: rank 0, every column a kernel
+    generator, counted once, and a zero cokernel.  The int columns are
+    read off the rows, of which there are none, so this pins that each
+    column is still there, empty."""
+    pm = PresentationMatrix(rows=[], cols=cols, entries=[])
+    assert generic_rank(pm) == 0
+    assert kernel_generator_degrees(pm) == kernel
+    module = coker_presentation(pm)
+    assert (module.dims, module.mult_x, module.mult_y) == ({}, {}, {})
+    assert bigraded_betti(module).entries == {}
+
+
 def test_second_syzygies_match_kernel_scan():
     """The oracle's top Betti degrees are the kernel generators.
 
@@ -1242,6 +1260,154 @@ def test_oracle_clears_each_stored_map_at_most_twice(monkeypatch, build):
         (0, (0, 0)): 1, (1, (0, 200)): 1, (1, (200, 0)): 1,
         (2, (200, 200)): 1}
     assert 0 < len(calls) <= 2 * len(stored)
+
+
+# The presentation CI resolves as empty.json: empty entries beside
+# nonzero terms, a column of [] only at (3, 0), and at (1, 0) a term pair
+# that cancels.
+EMPTY_ENTRIES = presentation_from_json_obj({
+    "kind": "presentation", "rows": [[0, 0], [1, 0]],
+    "cols": [[1, 0], [3, 0], [2, 0], [0, 2], [1, 1], [3, 0], [1, 2]],
+    "entries": [[[[1, [1, 0]], [-1, [1, 0]]], [], [[1, [2, 0]]],
+                 [[1, [0, 2]]], [[1, [1, 1]]], [], []],
+                [[], [], [], [], [[2, [0, 1]]], [[1, [2, 0]]],
+                 [[1, [0, 2]]]]]})
+
+# H5 of ROADMAP item 8: generators at (1, 0) and (0, 1), relations in
+# total degree 4.
+H5 = PresentationMatrix(
+    rows=[(1, 0), (0, 1)],
+    cols=[(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)],
+    entries=[[[(1, (3, 0))], [(1, (2, 1))], [(1, (1, 2))], [(1, (0, 3))],
+              []],
+             [[], [(1, (3, 0))], [(1, (2, 1))], [(1, (1, 2))],
+              [(1, (0, 3))]]])
+
+
+def _unshared_cell_map(free, target):
+    """Reference for module_engine._cell_map: the matrix read off before
+    cells shared identities, a column per free row, the unit vector of
+    a row the target keeps free and minus the target's pivot vector
+    over its pivot entry otherwise."""
+    t_free, t_lead = target
+    columns = []
+    for r in free:
+        vector = t_lead.get(r)
+        if vector is None:
+            columns.append([_ONE if f == r else Fraction(0) for f in t_free])
+        else:
+            columns.append([Fraction(-vector[f], vector[r]) for f in t_free])
+    return [list(row) for row in zip(*columns)]
+
+
+def _checked_sharing(monkeypatch, pm):
+    """Resolve pm, checking that every map coker_presentation stores is
+    one _cell_map built and equals the unshared reference, that the
+    module and its dual hold one identity object per size, and that
+    the oracle matches the block reference on both, clearing each
+    distinct stored map at most twice.  Returns the number of
+    _cell_map calls and of distinct stored maps."""
+    built = []
+    cell_map = module_engine._cell_map
+
+    def recorded(free, target, identities):
+        m = cell_map(free, target, identities)
+        built.append(m)
+        assert m == _unshared_cell_map(free, target)
+        return m
+
+    monkeypatch.setattr(module_engine, "_cell_map", recorded)
+    try:
+        module = coker_presentation(pm)
+    finally:
+        monkeypatch.undo()
+    distinct = module_engine._by_identity(module)
+    assert distinct.keys() <= {id(m) for m in built}
+    for m in (module, dual_module(module)):
+        maps = module_engine._by_identity(m)
+        sizes = [len(x) for x in maps.values()
+                 if x == [[_ONE if i == j else 0 for j in range(len(x))]
+                          for i in range(len(x))]]
+        assert len(sizes) == len(set(sizes))
+        calls = _counting(monkeypatch, "integer_rows")
+        assert list(bigraded_betti(m).entries.items()) == \
+            list(_block_betti(m).entries.items())
+        monkeypatch.undo()
+        assert len(calls) <= 2 * len(maps)
+    return len(built), len(distinct)
+
+
+@pytest.mark.parametrize("pm, built, distinct", [
+    (_distant_pair(300), 0, 0),
+    (EMPTY_ENTRIES, 5, 5),
+    (HEART, 10, 6),
+    (H5, 22, 11),
+], ids=["distant_pair", "empty_entries", "heart", "h5"])
+def test_cokernels_share_one_identity_per_size(monkeypatch, pm, built,
+                                               distinct):
+    """Pairs of cells with the same free rows store one identity per
+    size, so HEART and H5 store fewer distinct maps than cell pairs."""
+    assert _checked_sharing(monkeypatch, pm) == (built, distinct)
+
+
+def test_random_cokernels_share_one_identity_per_size(monkeypatch):
+    rng = random.Random(20121231)
+    built = distinct = 0
+    for pm in _coker_inputs(rng, 300) + _coker_inputs(rng, 100,
+                                                      rational=True):
+        try:
+            counts = _checked_sharing(monkeypatch, pm)
+        except NotFiniteLength:
+            continue
+        built += counts[0]
+        distinct += counts[1]
+    assert 0 < distinct < built * 3 // 4
+
+
+def _commuting_module_data(rng):
+    """Pieces of one dimension n on a random staircase region, x acting
+    by a random n x n matrix A and y by a polynomial in A (A itself, a
+    multiple, A^2 or zero), so the two commute; A is often singular, so
+    the joint ranks are not settled by a block of full rank."""
+    n = rng.randint(1, 3)
+    a = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:
+        a[-1] = [0] * n
+    b = rng.choice((a, a, [[2 * v for v in row] for row in a],
+                    [[sum(a[i][k] * a[k][j] for k in range(n))
+                      for j in range(n)] for i in range(n)],
+                    [[0] * n for _ in range(n)]))
+    region = _random_region(rng)
+    return ({alpha: n for alpha in region},
+            {(p, q): a for p, q in region if (p + 1, q) in region},
+            {(p, q): b for p, q in region if (p, q + 1) in region})
+
+
+def test_oracle_settles_one_map_twice_exactly():
+    """The oracle reads one object twice as one map: the same modules,
+    through the public constructor, with their equal stored maps made
+    one object and left as equal copies, give the block reference's
+    table, and so do their duals."""
+    rng = random.Random(20121230)
+    twice = 0
+    for _ in range(150):
+        data = _commuting_module_data(rng)
+        copies = FiniteModule(*data)
+        shared = FiniteModule(*data)
+        first = {}
+        for maps in (shared.mult_x, shared.mult_y):
+            for alpha, m in maps.items():
+                maps[alpha] = first.setdefault(repr(m), m)
+        twice += sum(shared.mult_x.get(alpha) is m
+                     for alpha, m in shared.mult_y.items())
+        twice += sum(shared.mult_x.get((p - 1, q + 1)) is m
+                     for (p, q), m in shared.mult_y.items())
+        for m, n in ((copies, shared),
+                     (dual_module(copies), dual_module(shared))):
+            table = list(_block_betti(m).entries.items())
+            assert list(bigraded_betti(m).entries.items()) == table
+            assert list(bigraded_betti(n).entries.items()) == table
+    assert twice > 5000
 
 
 def _two_point_quotient(k):
