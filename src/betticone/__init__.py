@@ -36,7 +36,8 @@ from .module_engine import (FiniteModule, MonomialPair,
                             coker_presentation, dual_module,
                             generic_rank, kernel_generator_degrees,
                             module_from_json_obj, monomial_quotient)
-from .rays import box_rays, enumerate_box_rays, seed_catalogue
+from .rays import (box_ray_codes, box_rays, enumerate_box_rays,
+                   seed_catalogue)
 from .tables import (DegreeSequence, GradedBettiTable, HilbertNumerator,
                      PureTable, check_hk_equations, coarsen,
                      graded_from_json_obj, graded_to_json_obj,

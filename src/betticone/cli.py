@@ -25,7 +25,7 @@ from .es_construct import es_plan, es_ranks, render_plan_text, twist_table
 from .local_cone import (LocalBettiVector, is_in_local_cone, limit_degrees,
                          limit_table, local_ray_coefficients)
 from .module_engine import bigraded_betti, module_from_json_obj
-from .rays import DEFAULT_MAX_BOX, box_rays
+from .rays import DEFAULT_MAX_BOX, box_ray_codes, box_rays
 from .tables import graded_from_json_obj, hk_pure_table, pure_to_json_obj
 
 
@@ -93,6 +93,7 @@ def _text(obj, pad, texts):
             text = done[id(obj)] = "{" + inner + ("," + inner).join([
                 (_str_json(k) if k.__class__ is str else _key_json(k)) + ": "
                 + (_int_json(v) if v.__class__ is int
+                   else _str_json(v) if v.__class__ is str
                    else _text(v, inner, texts))
                 for k, v in obj.items()]) + pad + "}"
         return text
@@ -270,29 +271,22 @@ def cmd_bigraded_rays(args):
     if args.max_box < 0:
         raise ValueError(
             f"--max-box must be a nonnegative integer, got {args.max_box}")
-    rays, swap_count = box_rays(box, max_box=args.max_box)
     if args.json:
-        # bigraded_to_json_obj's form, with one object per distinct
-        # entry, which _json_text then writes once; each ray lists its
-        # entries sorted already.
-        shared = {}
-        listed = []
-        for t in rays:
-            entries = []
-            for item in t.entries.items():
-                obj = shared.get(item)
-                if obj is None:
-                    (i, (a, b)), c = item
-                    obj = shared[item] = {"i": i, "deg": [a, b], "b": c}
-                entries.append(obj)
-            listed.append({"kind": "bigraded", "entries": entries})
+        # bigraded_to_json_obj's form, one object per code, which
+        # _json_text then writes once; each ray's codes are sorted.
+        codes, entries, swap_count = box_ray_codes(box, max_box=args.max_box)
+        shared = [{"i": i, "deg": [a, b], "b": c}
+                  for (i, (a, b)), c in entries]
         _print_json({
             "box": box,
-            "count": len(rays),
+            "count": len(codes),
             "count_up_to_swap": swap_count,
-            "rays": listed,
+            "rays": [{"kind": "bigraded",
+                      "entries": list(map(shared.__getitem__, key))}
+                     for key in codes],
         })
     else:
+        rays, swap_count = box_rays(box, max_box=args.max_box)
         for k, t in enumerate(rays):
             print(f"[{k:3d}] {_betti_one_line(t)}")
         print(f"{len(rays)} rays up to scalar "

@@ -127,9 +127,11 @@ class FiniteModule:
         return self._materialize(self.mult_y, alpha, _Y)
 
     def _materialize(self, maps, alpha, step):
+        """Fresh rows: one stored map may serve many bidegrees, so a
+        caller that writes into the result must not reach it."""
         alpha = tuple(alpha)
         if alpha in maps:
-            return maps[alpha]
+            return [list(row) for row in maps[alpha]]
         dst = self.dim(_shift(alpha, step))
         src = self.dim(alpha)
         return [[ZERO] * src for _ in range(dst)]

@@ -293,16 +293,27 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
       region module is a region module (reflect the order-convex
       region in its hull), and the dual of the heart's dual has the
       heart's table.
-    box_rays builds the list: it sorts the keys once, as int codes,
-    and each key is in the table's normal form, so the rays are built
-    from the keys unchecked.
+    box_ray_codes sorts the keys once, as int codes, and each key is
+    in the table's normal form, so box_rays builds the rays from them
+    unchecked.
     """
     return box_rays(bound, max_box)[0]
 
 
 def box_rays(bound, max_box=DEFAULT_MAX_BOX):
     """(rays, swap classes): enumerate_box_rays(bound, max_box) and
-    count_up_to_swap of it, from one pass over the dense shapes.
+    count_up_to_swap of it, that is, box_ray_codes decoded."""
+    codes, entries, swaps = box_ray_codes(bound, max_box)
+    decode = entries.__getitem__
+    return ([BigradedBettiTable._trusted(dict(map(decode, key)))
+             for key in codes], swaps)
+
+
+def box_ray_codes(bound, max_box=DEFAULT_MAX_BOX):
+    """(codes, entries, swap classes) of the box from one pass over the
+    dense shapes: codes the rays' sorted keys as int-code tuples, in
+    the order of enumerate_box_rays, and entries[c] the one shared
+    entry ((i, (a, b)), 1) of code c.
 
     The swap classes are counted off the placements.  Swapping x and
     y maps a region module to a region module and keeps the
@@ -323,12 +334,10 @@ def box_rays(bound, max_box=DEFAULT_MAX_BOX):
     listed seed adds 1 to both and drops out.  count_up_to_swap, which
     takes any tables, is the second route in the tests.
 
-    The keys are sorted as int codes.  The entry ((i, (a, b)), 1) has
-    code (i (B1 + 1) + a) (B2 + 1) + b, increasing in (i, a, b) over
-    the box, and every count is 1, so code tuples compare as the entry
-    tuples do, prefixes included, and sort in the same order.  One
-    list of entry objects decodes them, so every key that holds an
-    entry holds that one object.
+    The entry ((i, (a, b)), 1) has code (i (B1 + 1) + a) (B2 + 1) + b,
+    increasing in (i, a, b) over the box, and every count is 1, so code
+    tuples compare as the entry tuples do, prefixes included, and sort
+    in the same order.
     """
     b1, b2 = integral_bidegree(bound, "box")
     max_box = integral(max_box, "max_box")
@@ -368,7 +377,4 @@ def box_rays(bound, max_box=DEFAULT_MAX_BOX):
              for key in SEED_KEYS
              if all(a <= b1 and b <= b2 for (_, (a, b)), _ in key)]
     keys.sort()
-    decode = entry.__getitem__
-    rays = [BigradedBettiTable._trusted(dict(map(decode, key)))
-            for key in keys]
-    return rays, len(rays) - (mirrored - fixed) // 2
+    return keys, entry, len(keys) - (mirrored - fixed) // 2

@@ -39,6 +39,7 @@ from betticone import (
     NotFiniteLength,
     PresentationMatrix,
     bigraded_betti,
+    box_ray_codes,
     box_rays,
     check_extremality_certificate,
     coker_presentation,
@@ -754,8 +755,9 @@ def _check_listing(bound, max_box=DEFAULT_MAX_BOX):
     """The listing equals the keyed route, entry order included (the
     CLI writes a ray's entries in the order it stores them), box_rays
     lists the same, and its swap count, read off the placements,
-    equals count_up_to_swap's and the keyed route's; returns the
-    rays."""
+    equals count_up_to_swap's and the keyed route's; box_ray_codes,
+    decoded through its entry list, gives box_rays' tables, whose
+    equal entry keys are one object; returns the rays."""
     rays = enumerate_box_rays(bound, max_box)
     items = [list(t.entries.items()) for t in rays]
     assert items == \
@@ -763,6 +765,15 @@ def _check_listing(bound, max_box=DEFAULT_MAX_BOX):
     listed, count = box_rays(bound, max_box)
     assert [list(t.entries.items()) for t in listed] == items, bound
     assert count == count_up_to_swap(rays) == _keyed_swap_count(rays), bound
+    codes, entries, swaps = box_ray_codes(bound, max_box)
+    b1, b2 = bound
+    assert all(c == (i * (b1 + 1) + a) * (b2 + 1) + b and n == 1
+               for c, ((i, (a, b)), n) in enumerate(entries)), bound
+    assert [[entries[c] for c in key] for key in codes] == items, bound
+    assert swaps == count, bound
+    shared = {}
+    assert all(shared.setdefault(key, key) is key
+               for t in listed for key in t.entries), bound
     return rays
 
 

@@ -727,6 +727,22 @@ def test_rays_json_bytes_are_pinned(capsys, box, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+def test_rays_json_matches_the_table_route(capsys):
+    """--json writes from the listing's int codes; the reference
+    route builds every ray table and writes it with json.dumps."""
+    for b1 in range(6):
+        for b2 in range(6):
+            box = f"{b1},{b2}"
+            assert run(["bigraded", "rays", "--box", box, "--json"]) == 0
+            rays = enumerate_box_rays((b1, b2))
+            assert capsys.readouterr().out == json.dumps({
+                "box": [b1, b2],
+                "count": len(rays),
+                "count_up_to_swap": bigraded.count_up_to_swap(rays),
+                "rays": [bigraded.bigraded_to_json_obj(t) for t in rays],
+            }, indent=2) + "\n", box
+
+
 def test_reader_closing_the_pipe_is_no_error():
     proc = subprocess.Popen(
         [sys.executable, "-m", "betticone", "bigraded", "rays", "--box",

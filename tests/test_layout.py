@@ -5,11 +5,11 @@ level: an import inside a function hides a dependency from the reader
 and is the usual way a cycle gets papered over.  No module reads the
 process environment: every setting is an argument or a command line
 option.  No module calls json's indenting encoder.  The linear algebra
-kernel imports nothing from fractions.  Only the package calls the
-trusted constructors that skip input checks.  Only the value base class
-writes __eq__ and __hash__, and every imported name is used.  Every
-public top-level name is read by the package, exported, or imported by
-the acceptance tests.
+kernel imports nothing from fractions.  The CLI imports no private
+name.  Only the package calls the trusted constructors that skip input
+checks.  Only the value base class writes __eq__ and __hash__, and
+every imported name is used.  Every public top-level name is read by
+the package, exported, or imported by the acceptance tests.
 """
 
 from __future__ import annotations
@@ -77,6 +77,30 @@ def test_intra_package_imports_are_acyclic():
 
     for name in sorted(edges):
         visit(name, [])
+
+
+def _private_imports(tree):
+    """(line, dotted name) for each package import of a name or module
+    that starts with "_" and is no dunder such as __version__."""
+    def private(part):
+        return part.startswith("_") and not part.endswith("__")
+    return [(node.lineno, name) for node in ast.walk(tree) if _targets(node)
+            for name in ([alias.name for alias in node.names]
+                         if isinstance(node, ast.Import) else
+                         [f"{node.module or ''}.{alias.name}"
+                          for alias in node.names])
+            if any(private(part) for part in name.split("."))]
+
+
+def test_the_cli_imports_no_private_name():
+    probe = ast.parse("from ._linalg import rank\n"
+                      "from .rays import _dense_shapes, box_rays\n"
+                      "from . import __version__, _linalg\n"
+                      "import betticone._linalg\n"
+                      "from json import _private\n")
+    assert [line for line, _ in _private_imports(probe)] == [1, 2, 3, 4]
+    found = _private_imports(MODULES["cli"])
+    assert not found, found
 
 
 def _reads_environment(node):

@@ -231,6 +231,17 @@ def test_finite_module_rejects_noncommuting_maps():
         FiniteModule(dims, mult_x, mult_y)
 
 
+def test_map_accessors_return_fresh_rows():
+    """The cells of a monomial quotient share stored maps, so a write
+    into an accessor's result must reach none of them."""
+    module = monomial_quotient(MonomialPair([(0, 0)], [(3, 0), (0, 3)]))
+    assert len(bigraded_betti(module).entries) == 4
+    module.map_x((0, 0))[0][0] = 0
+    module.map_y((2, 0))[0][0] = 0
+    assert module.map_x((0, 0)) == [[1]] and module.map_y((2, 0)) == [[1]]
+    assert len(bigraded_betti(module).entries) == 4
+
+
 def test_finite_module_rejects_bad_shapes():
     dims = {(0, 0): 2, (1, 0): 1}
     with pytest.raises(ValueError):
