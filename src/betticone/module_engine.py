@@ -9,15 +9,16 @@ rational matrices.  Betti numbers then come out of the Koszul complex
 
 restricted to a single bidegree, so no Groebner machinery is needed.
 Module maps hold Fraction entries; _linalg reduces int rows only, so
-rationals are cleared here, once where they enter: the scalar grid's
-columns once per presentation scan or generic rank (the kernel scan
-takes its rank off the columns it scans), and each distinct stored map
-once per Betti table, by rows and, when two maps must be set side by
-side, by columns.  The ranks involved are the same for any field of
-characteristic zero.
+rationals are cleared here, once where they enter: a presentation's
+scalar grid by columns, once, in its constructor (int_columns, which
+generic_rank and both presentation scans read), and each distinct
+stored map once per Betti table, by rows and, when two maps must be
+set side by side, by columns.  The ranks involved are the same for any
+field of characteristic zero.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from ._linalg import insert_row, integer_rows, rank, transpose
 from .bigraded import (BigradedBettiTable, integral, integral_bidegree,
@@ -231,9 +232,19 @@ class PresentationMatrix:
     col - row, so each entry is given as a list of (coefficient,
     exponent pair) terms that must collapse to at most one term of
     exactly that exponent.
+
+    scalars[r][c] is the Fraction coefficient of entry (r, c), and
+    int_columns[c] is column c of scalars times the lcm of its
+    denominators, a list of ints (empty with no rows).  Rationals are
+    cleared there once, in the constructor: scaling a column changes
+    neither the column space nor the rank of any block of rows, so
+    every rank the scans and generic_rank take reads those columns.
+    Both fields are read-only: int_columns is derived from scalars
+    once, so a write into either after construction is not seen by
+    the other.
     """
 
-    __slots__ = ("row_degrees", "col_degrees", "scalars")
+    __slots__ = ("row_degrees", "col_degrees", "scalars", "int_columns")
 
     def __init__(self, rows, cols, entries):
         self.row_degrees = tuple(integral_bidegree(d, "row degree")
@@ -242,9 +253,12 @@ class PresentationMatrix:
                                  for d in cols)
         if len(entries) != len(self.row_degrees):
             raise ValueError("one entry row per row degree is required")
+        width = len(self.col_degrees)
+        columns = [[0] * len(self.row_degrees) for _ in range(width)]
+        dens = [1] * width
         scalars = []
         for r, row in enumerate(entries):
-            if len(row) != len(self.col_degrees):
+            if len(row) != width:
                 raise ValueError(f"entry row {r} has the wrong length")
             out = []
             for c, terms in enumerate(row):
@@ -254,19 +268,30 @@ class PresentationMatrix:
                 merged = {}
                 for coeff, expo in terms:
                     expo = integral_bidegree(expo, "entry exponent")
-                    merged[expo] = merged.get(expo, ZERO) + Fraction(coeff)
-                merged = {e: v for e, v in merged.items() if v != 0}
-                if not merged:
+                    coeff = Fraction(coeff)
+                    merged[expo] = (merged[expo] + coeff if expo in merged
+                                    else coeff)
+                live = [e for e, v in merged.items() if v]
+                if not live:
                     out.append(ZERO)
                     continue
                 forced = self.entry_exponent(r, c)
-                if list(merged) != [forced] or min(forced) < 0:
+                if live != [forced] or min(forced) < 0:
                     raise ValueError(
                         f"entry ({r}, {c}) must be a scalar multiple of "
                         f"the monomial with exponent {forced}")
-                out.append(merged[forced])
+                value = merged[forced]
+                out.append(value)
+                columns[c][r] = value.numerator
+                if value.denominator != 1:
+                    dens[c] = lcm(dens[c], value.denominator)
             scalars.append(out)
+        for c, d in enumerate(dens):
+            if d != 1:
+                columns[c] = [row[c].numerator * (d // row[c].denominator)
+                              for row in scalars]
         self.scalars = scalars
+        self.int_columns = columns
 
     def entry_exponent(self, r, c):
         return (self.col_degrees[c][0] - self.row_degrees[r][0],
@@ -283,41 +308,35 @@ def generic_rank(pm):
     invertible over k(x, y), hence the rank is the rank of S, which is
     the rank of its transpose: of the int columns.
     """
-    return rank(_integer_columns(pm))
+    return rank(pm.int_columns)
 
 
-def _integer_columns(pm):
-    """Each column of the scalar grid times the lcm of its denominators.
-
-    Scaling a column changes neither the column space nor the rank of
-    any block of rows, so generic_rank and the scans below reduce these
-    int columns.  With no rows, zip would yield no column at all, so
-    each column is then the empty one.
-    """
-    if not pm.scalars:
-        return [[] for _ in pm.col_degrees]
-    return integer_rows(zip(*pm.scalars))
+def _by_b(degrees):
+    """(b, index, a) for each degree (a, b), sorted by b and then by
+    index: the order a scan walks any a-line in, so each scan call sorts
+    its rows and columns once and filters them per line."""
+    return sorted((b, k, a) for k, (a, b) in enumerate(degrees))
 
 
-def _column_spans(pm, columns, a, b_grid):
+def _column_spans(pm, order, a, b_grid):
     """The scan both presentation scans share, along one grid line.
 
     For each b of b_grid, upward, yields the number of columns of degree
-    <= (a, b) and their span: columns are the int columns of pm
-    (_integer_columns), inserted with insert_row as b passes their
-    degree, so each is inserted once per line and the span, keyed by
-    pivot row, is updated in place.  It is in global row coordinates:
+    <= (a, b) and their span: columns are pm.int_columns, inserted with
+    insert_row in the order _by_b(pm.col_degrees) gives as b passes
+    their degree, so each is inserted once per line and the span, keyed
+    by pivot row, is updated in place.  It is in global row coordinates:
     a nonzero scalar at (r, c) needs row r <= column c, so these
     columns are zero off the rows of degree <= (a, b), and the span is
     the one of the block those rows and columns cut out.
     """
-    line = sorted((d[1], c) for c, d in enumerate(pm.col_degrees)
-                  if d[0] <= a)
+    columns = pm.int_columns
+    line = [(b, columns[c]) for b, c, ca in order if ca <= a]
     basis = {}
     inserted = 0
     for b in b_grid:
         while inserted < len(line) and line[inserted][0] <= b:
-            insert_row(basis, columns[line[inserted][1]])
+            insert_row(basis, line[inserted][1])
             inserted += 1
         yield inserted, basis
 
@@ -382,14 +401,14 @@ def coker_presentation(pm):
     a_grid = sorted({a for a, _ in degrees if a >= lo[0]})
     b_grid = sorted({b for _, b in degrees if b >= lo[1]})
     top = (a_grid[-1], b_grid[-1])
-    columns = _integer_columns(pm)
+    row_order = _by_b(pm.row_degrees)
+    col_order = _by_b(pm.col_degrees)
     cells = {}
     pieces = []
     for a0, a1 in zip(a_grid, a_grid[1:] + [None]):
-        rows = sorted((d[1], r) for r, d in enumerate(pm.row_degrees)
-                      if d[0] <= a0)
+        rows = [(b, r) for b, r, a in row_order if a <= a0]
         surviving = 0
-        spans = _column_spans(pm, columns, a0, b_grid)
+        spans = _column_spans(pm, col_order, a0, b_grid)
         for b0, b1, (_, basis) in zip(b_grid, b_grid[1:] + [None], spans):
             while surviving < len(rows) and rows[surviving][0] <= b0:
                 surviving += 1
@@ -410,15 +429,18 @@ def coker_presentation(pm):
     identities = {}
     mult_x = {}
     mult_y = {}
+    piece = pieces.get
     for alpha, corner in pieces.items():
-        for step, store in ((_X, mult_x), (_Y, mult_y)):
-            target = pieces.get(_shift(alpha, step))
+        a, b = alpha
+        for target, store in ((piece((a + 1, b)), mult_x),
+                              (piece((a, b + 1)), mult_y)):
             if target is None:
                 continue
-            if (corner, target) not in maps:
-                maps[corner, target] = _cell_map(cells[corner][0],
-                                                 cells[target], identities)
-            store[alpha] = maps[corner, target]
+            m = maps.get((corner, target))
+            if m is None:
+                m = maps[corner, target] = _cell_map(
+                    cells[corner][0], cells[target], identities)
+            store[alpha] = m
     return FiniteModule._trusted(dims, mult_x, mult_y)
 
 
@@ -510,8 +532,11 @@ def bigraded_betti(mod):
 
     dim, x_at, y_at = mod.dims.get, mod.mult_x.get, mod.mult_y.get
     entries = {}
-    for alpha in sorted({(a + da, b + db) for a, b in mod.dims
-                         for da in (0, 1) for db in (0, 1)}):
+    support = set(mod.dims)
+    support.update([(a + 1, b) for a, b in mod.dims])
+    support.update([(a, b + 1) for a, b in mod.dims])
+    support.update([(a + 1, b + 1) for a, b in mod.dims])
+    for alpha in sorted(support):
         a, b = alpha
         corner = (a - 1, b - 1)
         left = (a - 1, b)
@@ -590,16 +615,16 @@ def kernel_generator_degrees(pm):
     surviving rows, h is the number of columns _column_spans has
     inserted minus the size of their span.
     """
-    columns = _integer_columns(pm)
-    expected = len(pm.col_degrees) - rank(columns)
+    expected = len(pm.col_degrees) - rank(pm.int_columns)
     if expected == 0:
         return []
     a_grid = sorted({a for a, _ in pm.col_degrees})
     b_grid = sorted({b for _, b in pm.col_degrees})
+    order = _by_b(pm.col_degrees)
     h = [[0] * (len(b_grid) + 1)]
     for a in a_grid:
         h.append([0] + [inserted - len(basis) for inserted, basis
-                        in _column_spans(pm, columns, a, b_grid)])
+                        in _column_spans(pm, order, a, b_grid)])
     gens = []
     for i, a in enumerate(a_grid, 1):
         for j, b in enumerate(b_grid, 1):

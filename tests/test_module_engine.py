@@ -12,6 +12,7 @@ and on randomized regions.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -35,6 +36,7 @@ from betticone import (
     enumerate_box_rays,
     generic_rank,
     is_in_local_cone,
+    k_polynomial,
     kernel_generator_degrees,
     local_from_graded,
     module_from_json_obj,
@@ -422,9 +424,13 @@ def _per_cell_scalars(rows, cols, entries):
 def _entry(draw, forced):
     """One presentation entry for a cell of the given forced exponent:
     empty as a list or a tuple, a term pair that cancels, a term of the
-    wrong exponent, a "3/2" coefficient, or a plain (maybe zero) term."""
+    wrong exponent, a "3/2" coefficient, a plain (maybe zero) term, a
+    zero term at a wrong exponent (zero, no error), a zero term at a
+    malformed exponent (the exponent error), or a bad coefficient at a
+    malformed exponent (the exponent error comes first)."""
     kind = draw(st.sampled_from(
-        ("list", "tuple", "cancel", "wrong", "half", "plain")))
+        ("list", "tuple", "cancel", "wrong", "half", "plain", "zero wrong",
+         "zero malformed", "both bad")))
     if kind == "list":
         return []
     if kind == "tuple":
@@ -435,6 +441,14 @@ def _entry(draw, forced):
         return [(1, (forced[0] + 1, forced[1]))]
     if kind == "half":
         return [("3/2", forced)]
+    if kind == "zero wrong":
+        return [(0, (forced[0], forced[1] + 1))]
+    malformed = draw(st.sampled_from(
+        ((forced[0], 1.5), (forced[0],), None, (forced[0], "b"))))
+    if kind == "zero malformed":
+        return [(0, malformed)]
+    if kind == "both bad":
+        return [("x", malformed)]
     return [(draw(st.integers(-2, 2)), forced)]
 
 
@@ -457,6 +471,32 @@ def test_presentation_constructor_matches_the_per_cell_route(data):
     assert got == _outcome(lambda: _per_cell_scalars(rows, cols, entries))
     if not isinstance(got, tuple):
         assert all(type(v) is Fraction for row in got for v in row)
+
+
+def _cleared_columns(pm):
+    """Column c of pm.scalars times the lcm of its denominators."""
+    out = []
+    for c in range(len(pm.col_degrees)):
+        column = [row[c] for row in pm.scalars]
+        d = math.lcm(*(s.denominator for s in column))
+        out.append([s.numerator * (d // s.denominator) for s in column])
+    return out
+
+
+def test_int_columns_are_the_cleared_scalar_columns():
+    rng = random.Random(20121208)
+    inputs = [PACMAN, HEART, _residue_field(3)]
+    inputs += [_random_presentation(rng) for _ in range(60)]
+    inputs += _coker_inputs(rng, 60, rational=True)
+    inputs += [PresentationMatrix(rows=[], cols=cols, entries=[])
+               for cols in ([], [(1, 0)], [(2, 1), (0, 3), (2, 1)])]
+    rational = 0
+    for pm in inputs:
+        assert all(type(v) is int for column in pm.int_columns
+                   for v in column)
+        assert pm.int_columns == _cleared_columns(pm)
+        rational += any(s.denominator > 1 for row in pm.scalars for s in row)
+    assert rational > 30
 
 
 def test_presentation_merges_and_cancels_terms():
@@ -1373,6 +1413,50 @@ def test_random_cokernels_share_one_identity_per_size(monkeypatch):
         built += counts[0]
         distinct += counts[1]
     assert 0 < distinct < built * 3 // 4
+
+
+def _k_polynomial_kernel_degrees(pm):
+    """Reference route for kernel_generator_degrees off the cokernel's
+    K-polynomial.  With K the kernel and M the cokernel,
+    0 -> K -> F1 -> F0 -> M -> 0 is exact, so multiplying the Hilbert
+    series by (1 - s1)(1 - s2) gives K(M) = [F0] - [F1] + [K], where [F]
+    sums s^d over a free module's generator degrees d: K is free, and M
+    has finite length, so its Betti table gives K(M).  So [K] is K(M)
+    minus the row degrees plus the column degrees, and its nonzero
+    coefficients are the kernel generators with their multiplicities."""
+    kernel = dict(k_polynomial(bigraded_betti(coker_presentation(pm)))
+                  .coefficients)
+    for d in pm.row_degrees:
+        kernel[d] = kernel.get(d, 0) - 1
+    for d in pm.col_degrees:
+        kernel[d] = kernel.get(d, 0) + 1
+    return sorted((d, count) for d, count in kernel.items() if count)
+
+
+def test_kernel_degrees_match_the_k_polynomial_route():
+    rng = random.Random(20121209)
+    inputs = [HEART, H5, PACMAN, EMPTY_ENTRIES, _residue_field(5)]
+    inputs += [_random_presentation(rng) for _ in range(150)]
+    inputs += [_random_presentation(rng, rational=True) for _ in range(50)]
+    for pm in inputs:
+        assert kernel_generator_degrees(pm) == \
+            _k_polynomial_kernel_degrees(pm), presentation_to_json_obj(pm)
+
+
+@pytest.mark.parametrize("pm", [
+    HEART, H5, EMPTY_ENTRIES,
+    _random_presentation(random.Random(7), rational=True),
+], ids=["heart", "h5", "empty_entries", "rational"])
+def test_presentation_calls_read_the_constructors_int_columns(monkeypatch,
+                                                              pm):
+    """The constructor clears the scalar grid once; generic_rank and
+    both presentation scans clear it again nowhere."""
+    assert pm.int_columns
+    calls = _counting(monkeypatch, "integer_rows")
+    generic_rank(pm)
+    coker_presentation(pm)
+    kernel_generator_degrees(pm)
+    assert calls == []
 
 
 def _commuting_module_data(rng):
