@@ -25,7 +25,7 @@ from .es_construct import es_plan, es_ranks, render_plan_text, twist_table
 from .local_cone import (LocalBettiVector, is_in_local_cone, limit_degrees,
                          limit_table, local_ray_coefficients)
 from .module_engine import bigraded_betti, module_from_json_obj
-from .rays import DEFAULT_MAX_BOX, box_ray_codes, box_rays
+from .rays import DEFAULT_MAX_BOX, box_ray_codes
 from .tables import graded_from_json_obj, hk_pure_table, pure_to_json_obj
 
 
@@ -68,43 +68,23 @@ def _json_text(obj, pad):
     recognised by isinstance, as json does, and built by one join each;
     every other value goes through json's C one-line encoder, which
     writes scalars (NaN and the infinities included) as json.dumps
-    does and raises TypeError on anything it cannot encode.
-
-    A dict met again at the same indentation is written once: its text
-    is kept for the rest of the call in texts[pad][id].  A list reads
-    the texts of its elements' indentation before it recurses, so an
-    element it has written before costs one lookup.  Every object of
-    the tree stays alive until the call returns, so no id is reused for
-    another object while the texts are kept; only dicts are kept, so
-    no other element's id is found.  Lists are written each time, so
-    the text of a list already joined into its parent's is not kept as
-    well."""
-    return _text(obj, pad, {})
-
-
-def _text(obj, pad, texts):
+    does and raises TypeError on anything it cannot encode."""
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        done = texts.setdefault(pad, {})
-        text = done.get(id(obj))
-        if text is None:
-            inner = pad + "  "
-            text = done[id(obj)] = "{" + inner + ("," + inner).join([
-                (_str_json(k) if k.__class__ is str else _key_json(k)) + ": "
-                + (_int_json(v) if v.__class__ is int
-                   else _str_json(v) if v.__class__ is str
-                   else _text(v, inner, texts))
-                for k, v in obj.items()]) + pad + "}"
-        return text
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            (_str_json(k) if k.__class__ is str else _key_json(k)) + ": "
+            + (_int_json(v) if v.__class__ is int
+               else _str_json(v) if v.__class__ is str
+               else _json_text(v, inner))
+            for k, v in obj.items()]) + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
-        done = texts.setdefault(inner, {})
         return "[" + inner + ("," + inner).join([
-            _int_json(v) if v.__class__ is int
-            else done.get(id(v)) or _text(v, inner, texts)
+            _int_json(v) if v.__class__ is int else _json_text(v, inner)
             for v in obj]) + pad + "]"
     if obj.__class__ is str:
         return _str_json(obj)
@@ -235,11 +215,6 @@ def _betti_lines(table):
     return lines or ["beta: empty"]
 
 
-def _betti_one_line(table):
-    return " ".join(f"{i}:({a},{b})" + (f"x{c}" if c > 1 else "")
-                    for (i, (a, b)), c in sorted(table.entries.items()))
-
-
 def _verdict_lines(verdict):
     lines = [verdict.verdict]
     for kind, subject, detail in verdict.failures:
@@ -271,26 +246,33 @@ def cmd_bigraded_rays(args):
     if args.max_box < 0:
         raise ValueError(
             f"--max-box must be a nonnegative integer, got {args.max_box}")
+    codes, entries, swap_count = box_ray_codes(box, max_box=args.max_box)
     if args.json:
-        # bigraded_to_json_obj's form, one object per code, which
-        # _json_text then writes once; each ray's codes are sorted.
-        codes, entries, swap_count = box_ray_codes(box, max_box=args.max_box)
-        shared = [{"i": i, "deg": [a, b], "b": c}
-                  for (i, (a, b)), c in entries]
-        _print_json({
-            "box": box,
-            "count": len(codes),
-            "count_up_to_swap": swap_count,
-            "rays": [{"kind": "bigraded",
-                      "entries": list(map(shared.__getitem__, key))}
-                     for key in codes],
-        })
+        doc = {"box": box, "count": len(codes),
+               "count_up_to_swap": swap_count, "rays": [None] if codes else []}
+        if not codes:
+            _print_json(doc)
+            return 0
+        # Each ray's text is its frame around its codes' entry texts, in
+        # bigraded_to_json_obj's form; the frames are _json_text's own,
+        # split at their one null, and each ray's codes are sorted.
+        pad = "\n        "
+        texts = [_json_text({"i": i, "deg": [a, b], "b": c}, pad)
+                 for (i, (a, b)), c in entries]
+        head, tail = _json_text({"kind": "bigraded", "entries": [None]},
+                                "\n    ").split("null")
+        doc_head, doc_tail = _json_text(doc, "\n").split("null")
+        join = ("," + pad).join
+        print(doc_head + ",\n    ".join([
+            head + join(map(texts.__getitem__, key)) + tail
+            for key in codes]) + doc_tail)
     else:
-        rays, swap_count = box_rays(box, max_box=args.max_box)
-        for k, t in enumerate(rays):
-            print(f"[{k:3d}] {_betti_one_line(t)}")
-        print(f"{len(rays)} rays up to scalar "
-              f"({swap_count} after swapping x and y)")
+        # Every count is 1 (enumerate_box_rays), so no entry reads x{c}.
+        words = [f"{i}:({a},{b})" for (i, (a, b)), _ in entries]
+        print("\n".join([f"[{k:3d}] " + " ".join(map(words.__getitem__, key))
+                         for k, key in enumerate(codes)]
+                        + [f"{len(codes)} rays up to scalar "
+                           f"({swap_count} after swapping x and y)"]))
     return 0
 
 

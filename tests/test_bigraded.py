@@ -443,7 +443,7 @@ def test_s4_table_is_certified_and_fits_box_three():
 
 @pytest.mark.xfail(strict=True, reason="the listing holds the certified "
                    "rays of the catalogue, which lacks the S4 seed "
-                   "(ROADMAP item 3)")
+                   "(ROADMAP item 7)")
 def test_s4_table_is_listed_at_box_three():
     key = bigraded_betti(coker_presentation(S4)).canonical_key()
     assert key in {t.canonical_key() for t in enumerate_box_rays((3, 3))}

@@ -612,7 +612,7 @@ _SHARED = (st.lists(_TREES, min_size=1, max_size=3)
 @given(_SHARED, _TREES)
 def test_json_writer_matches_json_dumps_on_shared_objects(shared, other):
     """One container object twice at one depth and again one and two
-    levels deeper: the writer may reuse its text only at the same
+    levels deeper: each occurrence is written at its own
     indentation."""
     obj = [shared, other, shared, {"in": shared, "deeper": [shared]}]
     assert cli._json_text(obj, "\n") == json.dumps(obj, indent=2)
@@ -630,8 +630,8 @@ _ENTRY = {"i": 1, "deg": [2, 0], "b": 1}
         "element-then-deeper", "deeper-then-element"])
 def test_json_writer_reads_a_list_element_from_its_indentation(obj):
     """One dict as a dict value and as a list element at one
-    indentation, in either order, where the list reads the kept text;
-    and as a list element at two indentations, where it must not."""
+    indentation, in either order, and as a list element at two
+    indentations: each occurrence is written at its own indentation."""
     assert cli._json_text(obj, "\n") == json.dumps(obj, indent=2)
 
 
@@ -727,20 +727,48 @@ def test_rays_json_bytes_are_pinned(capsys, box, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+# Every box in 0..5 and two past the guard of 6, which --max-box 7
+# lifts in both routes.
+_ROUTE_BOXES = [(b1, b2) for b1 in range(6) for b2 in range(6)] + [
+    (7, 3), (3, 7)]
+
+
+def _betti_one_line(table):
+    return " ".join(f"{i}:({a},{b})" + (f"x{c}" if c > 1 else "")
+                    for (i, (a, b)), c in sorted(table.entries.items()))
+
+
+def _rays_argv(box, *flags):
+    return ["bigraded", "rays", "--box", f"{box[0]},{box[1]}",
+            "--max-box", "7", *flags]
+
+
 def test_rays_json_matches_the_table_route(capsys):
     """--json writes from the listing's int codes; the reference
     route builds every ray table and writes it with json.dumps."""
-    for b1 in range(6):
-        for b2 in range(6):
-            box = f"{b1},{b2}"
-            assert run(["bigraded", "rays", "--box", box, "--json"]) == 0
-            rays = enumerate_box_rays((b1, b2))
-            assert capsys.readouterr().out == json.dumps({
-                "box": [b1, b2],
-                "count": len(rays),
-                "count_up_to_swap": bigraded.count_up_to_swap(rays),
-                "rays": [bigraded.bigraded_to_json_obj(t) for t in rays],
-            }, indent=2) + "\n", box
+    for box in _ROUTE_BOXES:
+        assert run(_rays_argv(box, "--json")) == 0
+        rays = enumerate_box_rays(box, max_box=7)
+        assert capsys.readouterr().out == json.dumps({
+            "box": list(box),
+            "count": len(rays),
+            "count_up_to_swap": bigraded.count_up_to_swap(rays),
+            "rays": [bigraded.bigraded_to_json_obj(t) for t in rays],
+        }, indent=2) + "\n", box
+
+
+def test_rays_text_matches_the_table_route(capsys):
+    """Text output writes from the int codes too; the reference route
+    builds every ray table and writes its sorted entries, with an x{c}
+    suffix on any count above 1."""
+    for box in _ROUTE_BOXES:
+        assert run(_rays_argv(box)) == 0
+        rays = enumerate_box_rays(box, max_box=7)
+        assert capsys.readouterr().out == "".join(
+            f"[{k:3d}] {_betti_one_line(t)}\n" for k, t in enumerate(rays)
+        ) + (f"{len(rays)} rays up to scalar "
+             f"({bigraded.count_up_to_swap(rays)} after swapping x and "
+             "y)\n"), box
 
 
 def test_reader_closing_the_pipe_is_no_error():

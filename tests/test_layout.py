@@ -133,7 +133,8 @@ def test_no_function_imports_from_the_package():
 
 
 def test_no_module_calls_the_indent_encoder():
-    """--json output has one writer, cli._json_text; json.dumps(...,
+    """--json output has one writer, cli._json_text, which also writes
+    the frames and entries the rays listing joins; json.dumps(...,
     indent=2) is its reference route in tests/test_cli.py only."""
     found = [f"{name} line {node.lineno}"
              for name, tree in MODULES.items() for node in ast.walk(tree)
