@@ -4,48 +4,86 @@ Betti tables fit a degree box.
 A finite length monomial quotient I/J has one-dimensional pieces on
 the staircase region I minus J, and its table has support in the box
 [0, B1] x [0, B2] exactly when the region lies in the grid
-[0, B1) x [0, B2).  The candidates are those regions, generated by a
-column walk that reads the table off column by column by counting
-corners, plus the tables of a small catalogue of presentation seeds
-that no monomial quotient reaches, stored as data.  The walk yields
-only regions whose tables pass the valency certificate of the bigraded
-layer, K-polynomial test included, each a distinct ray, and no seed
-table is a region table (see enumerate_box_rays).
+[0, B1) x [0, B2).  The candidates are those regions, plus the tables
+of a small catalogue of presentation seeds that no monomial quotient
+reaches, stored as data.  The listing keeps the regions whose tables
+pass the valency certificate of the bigraded layer, K-polynomial test
+included, each a distinct ray, and no seed table is a region table
+(see enumerate_box_rays).
 
-The walk cuts a branch by three necessary conditions of that
-certificate, so it never cuts a region whose table certifies:
-- table column a depends only on region columns a - 1 and a, so it is
-  final once region column a is placed; a final column whose vertex
-  count is not 0 or 2 (x-valency other than 1) fails in every
-  completion (none mixes homological degrees, see _table_column);
-- rows only gain vertices as columns are placed, so a row that would
-  reach a third vertex (y-valency 2 or more) fails in every
-  completion;
-- each table column of two vertices joins their two rows, so the rows
-  form paths and cycles; a cycle is closed for good (its rows and
-  columns are full), so a vertex placed after it leaves the graph
+A region S = I minus J, J inside I monomial ideals, is an
+order-convex set of exponent pairs, given by its columns, each None
+(empty) or an interval [l, u) for the cells (a, l) .. (a, u - 1).
+With p and q the column starts of up(S) and of up(S) minus S, both
+at the top before the first cell, a column may be empty, which keeps
+p and sets q to p, or an interval [l, u) with l <= p (else up(S)'s
+cell (a, p) would sit below S outside it) and u <= q (up(S) minus S
+is closed upward), which sets p to l and q to u.  So l and u never
+rise from one column to the next.
+
+Corner count.  Every piece of a region module is one-dimensional with
+identity multiplications, so its Koszul homology at (a, b) depends
+only on which of the cells (a, b), (a - 1, b), (a, b - 1) and
+(a - 1, b - 1) lie in the region: table column a depends only on
+region columns a - 1 and a.  For a region column [l, u) at a, beta_0
+sits at (a, l) when (a - 1, l) is outside, beta_2 at (a + 1, u) when
+(a + 1, u - 1) is outside, and beta_1 follows from the Euler
+characteristic beta_0 - beta_1 + beta_2 = here - left - below +
+corner, which, as a function of b, is +1 at l and -1 at u for column
+a and the reverse for column a - 1.  Between region columns P and C
+(None outside the grid) table column a therefore holds, every count 1
+unless said:
+- nothing when P = C (the Euler characteristic vanishes, and the
+  cells beta_0 and beta_2 need outside lie inside);
+- beta_0 at l and beta_1 at u when P is None and C = [l, u);
+- beta_1 at l and beta_2 at u when P = [l, u) and C is None;
+- beta_0 at l' and beta_1 at l when C = [l', u) lowers P = [l, u)'s
+  start to l' < l;
+- beta_1 at u' and beta_2 at u when C = [l, u') lowers P's end to
+  l < u' < u;
+- beta_0 at l', beta_1 at l and at u' (one beta_1 = 2 when l = u')
+  and beta_2 at u when C = [l', u') lowers both, l' < l and u' < u.
+No vertex mixes homological degrees.  The tests read every table off
+this way (_table_column in tests/test_bigraded.py) and match the
+Koszul oracle on every region of box (4,4).
+
+Dense shapes.  The listing places the dense shapes of each k: the
+certified region tables in box (k - 1, k - 1) that use all k table
+columns (see enumerate_box_rays).  They are exactly the tables of the
+regions of k - 1 nonempty columns [l_a, u_a) with u_0 = k - 1 in
+which each later column lowers exactly one endpoint of the one before
+to a row not used yet: l to some l' < l, or u to some unused u' with
+l < u' < u.  A certified table holds 0 or 2 vertices in each column
+and row, and its graph is one cycle.  So, by the corner count:
+- No region column is empty.  An empty first or last column, or two
+  equal neighbours, leave a table column empty.  An empty column c
+  between nonempty ones has u_{c+1} <= p = l_{c-1}, so the table
+  columns up to c, whose vertices lie in rows l_a or u_a >= l_{c-1}
+  for a < c, and those after c, in rows <= u_{c+1}, share at most the
+  one row l_{c-1}, that is, one row edge.  Both parts hold vertices,
+  and a cycle through both crosses between them an even number of
+  times, at least twice, along row edges only, so the graph is
   disconnected.
-A region is yielded once a cycle has closed.  A staircase region has
-finite length, so its table passes the K-polynomial test, which needs
-the signed counts of each row to cancel: no row holds a single vertex,
-so every row holds two and the graph is that one cycle.  The walk
-over a whole box keeps exactly the certified regions (439 of 1145 at
-box (4,4)); its state is one hashable frontier, and _step its one
-transition.
-
-The listing walks only the dense shapes, the certified tables that use
-every table column and row, one walk of box k - 1 per k, and places
-each in the box (461 steps at box (4,4) instead of the full walk's
-1449); box_rays counts the swap classes off the same placements,
-without a pass over the rays.  That walk, _dense_shapes, also cuts a
-branch as soon as a finished table column is empty, and reads a
-closed region's table off its columns at the leaf with
-staircase_betti, the one route from columns to a table.  The full
-walk over a box is the tests' reference route, pruned_regions in
-tests/test_bigraded.py, written there on its own, without _step.  The
-tests also keep the unpruned walk over every staircase region, and
-every pair of generator antichains in the box with its quotient
-module through the Koszul oracle.
+- Each step lowers exactly one endpoint: moving neither leaves a
+  table column empty, and moving both puts the rows l' < l < u, three
+  of them, into one table column.
+- So table column 0 joins rows l_0 and u_0, each step joins the
+  moving endpoint's old row to its new one, and the last table column
+  joins the last l and u.  In order from l_0 down the l's, across to
+  the last u and up the u's, these k edges close one walk through k
+  rows counted with repeats (two to start, one per step); each row it
+  visits gets two vertices per visit.  The graph is one cycle with two
+  vertices in every row exactly when those k rows are distinct, which
+  is what "not used yet" says, and a repeated row holds four.
+  Then the k rows are all of [0, k - 1], and u_0, the highest, is
+  k - 1.
+Conversely each such sequence is a region (l and u never rise, and
+l < u) whose graph is that one cycle of single-degree vertices, and a
+region has finite length, so it certifies.  The tests check this
+against their walk of every certified region of the box for k up to
+6 (8 in the slow tier), and count Cat(k - 1) dense shapes, of which
+C(k - 1, floor((k - 1) / 2)) are their own transpose, checked to
+k = 10; neither count is proven here.
 """
 
 from itertools import combinations
@@ -58,140 +96,54 @@ from .module_engine import PresentationMatrix
 DEFAULT_MAX_BOX = 6
 
 
-def _table_column(a, prev, col):
-    """Entries of table column a of a region module, by counting corners.
-
-    Every piece is one-dimensional with identity multiplications, so
-    the Koszul homology at (a, b) depends only on which of the cells
-    here (a, b), left (a-1, b), below (a, b-1) and corner (a-1, b-1)
-    lie in the region: column a of the table depends on the region's
-    columns a - 1 (prev) and a (col) only.  For a column [l, u),
-    beta_0 sits at its bottom cell (a, l) when (a - 1, l) is outside,
-    and beta_2 at (a + 1, u) when the cell (a + 1, u - 1) right of its
-    top is outside.  beta_1 follows from the Euler characteristic
-    beta_0 - beta_1 + beta_2 = here - left - below + corner, whose
-    right side, as a function of b, is +1 at l and -1 at u for the
-    column a and the reverse for the column a - 1.
-
-    No vertex mixes degrees; write [l', u') for column a - 1.  beta_1
-    at l needs l' = l, against beta_0's (a - 1, l) outside, or a -1 at
-    u' = l, which needs (a, l - 1) in column a.  beta_1 at u' needs
-    u = u', against beta_2's (a, u' - 1) outside, or a -1 at l = u',
-    which needs (a - 1, u') in column a - 1.  beta_0 and beta_2 at
-    l = u' would leave (a - 1, l) out between (a - 1, l - 1) and (a, l).
-    """
-    entries = {}
-    ones = {}
-    if col:
-        low, high = col
-        ones[high] = 1
-        if prev and prev[0] <= low < prev[1]:
-            ones[low] = -1
-        else:
-            entries[(0, (a, low))] = 1
-    if prev:
-        low, high = prev
-        ones[low] = ones.get(low, 0) + 1
-        if col and col[0] <= high - 1 < col[1]:
-            ones[high] = ones.get(high, 0) - 1
-        else:
-            entries[(2, (a, high))] = 1
-    for b, count in ones.items():
-        if count:
-            entries[(1, (a, b))] = count
-    return entries
-
-
-def staircase_betti(columns):
-    """Betti table of a region module given as a tuple of columns,
-    each None or an interval (l, u): one more table column than
-    region columns, each read off by _table_column, whose keys are
-    (i, (a, b)) with i in {0, 1, 2} and whose counts are nonzero
-    ints, positive because they are Betti numbers of the region
-    module (the Koszul oracle agrees on every region of box (4,4))."""
-    entries = {}
-    prev = None
-    for a, col in enumerate(columns + (None,)):
-        entries.update(_table_column(a, prev, col))
-        prev = col
-    return BigradedBettiTable._trusted(entries)
-
-
-def _step(a, prev, col, ends):
-    """Region column col placed after prev: (part, ends_next) with
-    part table column a, or None to cut by the module docstring's rules.
-
-    ends[b] is b while row b has no vertex, the other end of b's path
-    while it has one, and None once it has two; ends is None once the
-    cycle has closed.  Joining rows u and v closes the cycle if v ends
-    u's path.  Closing forgets any other open path: no staircase
-    region has a row with one vertex, so every completion of such a
-    branch places a vertex after closure and is cut.  The walk's
-    frontier (a, p, q, prev, ends) is complete: the columns that may
-    follow and their verdicts depend on nothing else, so equal
-    frontiers have equal futures.
-    """
-    part = _table_column(a, prev, col)
-    if not part:
-        return part, ends
-    rows = {b for _, (_, b) in part}
-    if len(rows) != 2 or ends is None:
-        return None
-    u, v = rows
-    eu, ev = ends[u], ends[v]
-    if eu is None or ev is None:
-        return None
-    if eu == v:
-        return part, None
-    ends_next = list(ends)
-    ends_next[eu], ends_next[ev] = ev, eu
-    if eu != u:
-        ends_next[u] = None
-    if ev != v:
-        ends_next[v] = None
-    return part, tuple(ends_next)
-
-
 def _dense_shapes(k):
-    """The certified region tables in box (k - 1, k - 1) that use all k
-    table columns, each as its sorted (i, a, b) triples, each once,
-    lazily, in a fixed order.
+    """The dense shapes of k, each as its sorted (i, a, b) triples, each
+    once, lazily, in the lexicographic order of their region columns.
 
-    A region is a set S = I minus J for monomial ideals J inside I,
-    that is, an order-convex set of exponent pairs, given as a tuple
-    of k - 1 columns, each None (empty) or a pair (l, u) for the
-    cells (a, l) .. (a, u - 1).  The walk places columns left to
-    right, carrying the column starts p of the up-set U = up(S) and q
-    of V = U minus S, both k - 1 before the first cell: a column is
-    empty, which leaves U's start at p and forces V's start there too,
-    or an interval [l, u) with l <= p (else U's cell (a, p) would sit
-    in V below S) and u <= q (V is closed upward).  Each choice goes
-    through _step, which cuts by the module docstring's rules, and the
-    walk recurses on what it returns, undoing nothing; it cuts also as
-    soon as a finished table column is empty, and yields a region
-    whose last step closes the cycle, its table read off its columns
-    at the leaf by staircase_betti.  Without that last cut this is the
-    tests' pruned_regions, the full walk of the box.
+    grow(a, low, high) places region column a after column
+    a - 1 = [low, high), and table column a with it, in closed form
+    (module docstring); column 0 is the step that lowers the start of
+    the empty [k - 1, k - 1), and a = k - 1 places the last table
+    column.
+    The steps are tried in (low, high) order: l to each l' < l, all
+    unused (every used row is an l or a u, at least l), then u to the
+    highest unused row below u, if that lies above l.  A u step past an
+    unused row would strand it, as u never returns above its new value
+    and l stays below, so it would leave a row unused.  So the rows at
+    or above u are used, and while a row is unused there is a step: l
+    can fall if l > 0, and else the unused row lies in (l, u).  The
+    unused rows number the steps left, so every call yields a shape:
+    the work is linear in the output.  The triples of each degree i
+    come in column order, so the concatenation is sorted.
     """
-    def walk(a, p, q, columns, ends):
-        prev = columns[-1] if columns else None
-        if a == k - 1:
-            last = _step(a, prev, None, ends)
-            if last is not None and last[0] and last[1] is None:
-                yield sorted([(i, a, b) for i, (a, b)
-                              in staircase_betti(columns).entries])
-            return
-        choices = [(None, p, p)]
-        choices += [((low, high), low, high)
-                    for low in range(min(p, k - 2) + 1)
-                    for high in range(low + 1, q + 1)]
-        for col, p_next, q_next in choices:
-            step = _step(a, prev, col, ends)
-            if step is not None and step[0]:
-                yield from walk(a + 1, p_next, q_next, columns + (col,),
-                                step[1])
+    used = [False] * (k - 1) + [True]
+    zeros, ones, twos = [], [], []
 
-    yield from walk(0, k - 1, k - 1, (), tuple(range(k)))
+    def grow(a, low, high):
+        if a == k - 1:
+            yield zeros + ones + [(1, a, low)] + twos + [(2, a, high)]
+            return
+        for row in range(low):
+            used[row] = True
+            zeros.append((0, a, row))
+            ones.append((1, a, low))
+            yield from grow(a + 1, row, high)
+            zeros.pop()
+            ones.pop()
+            used[row] = False
+        row = high - 1
+        while row > low and used[row]:
+            row -= 1
+        if row > low:
+            used[row] = True
+            ones.append((1, a, row))
+            twos.append((2, a, high))
+            yield from grow(a + 1, low, row)
+            ones.pop()
+            twos.pop()
+            used[row] = False
+
+    yield from grow(0, k - 1, k - 1)
 
 
 def seed_catalogue():
@@ -244,18 +196,13 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     the B2 + 1 rows.  These are exactly the certified region tables
     of the box, those the full walk (the tests' pruned_regions(B1,
     B2)) yields:
-    - Stretching.  By _table_column, table column c is empty exactly
-      when region columns c - 1 and c are equal (None outside the
-      grid): its Euler characteristic at (c, b) is f(b) - f(b - 1),
-      f(b) the cell count of column c minus that of column c - 1 at
-      row b, which vanishes for all b only for equal columns, and for
-      those the cells (c - 1, l) and (c, u - 1) that beta_0 and
-      beta_2 need outside lie inside.
-      Deleting a repeated region column keeps the starts of up(S) and
-      of up(S) minus S nonincreasing, so it leaves a region, whose
-      table loses column c, each table column depending only on its
-      two region columns; repeating one inverts that.  Rows follow by
-      transposing.  So deleting the empty table columns and rows maps
+    - Stretching.  By the corner count (module docstring), table
+      column c is empty exactly when region columns c - 1 and c are
+      equal (None outside the grid).  Deleting a repeated region
+      column keeps the starts of up(S) and of up(S) minus S
+      nonincreasing, so it leaves a region, whose table loses column
+      c, each table column depending only on its two region columns;
+      repeating one inverts that.  Rows follow by transposing.  So deleting the empty table columns and rows maps
       the box's region tables onto dense ones, and inserting them
       inverts the map.  Both keep the vertices' column and row groups,
       so the certificate's graph is unchanged either way, and every
@@ -272,12 +219,13 @@ def enumerate_box_rays(bound, max_box=DEFAULT_MAX_BOX):
     A seed is listed when its bidegrees lie in the box.  Every key is
     a table's sorted entries, and no two candidates share one, so the
     keys are listed without a gcd or a dedup:
-    - Every count of a region table is 1.  By _table_column a count
-      above 1 can only be beta_1 = 2 at (a, b), with region column
-      a = [l, b) ending where column a - 1 = [b, u') starts.  Then
-      beta_0 sits at (a, l) and beta_2 at (a, u'), three rows
-      l < b < u' in one table column, which _step cuts.  So the gcd
-      is 1, as it is for the stored seeds.
+    - Every count of a region table is 1.  By the corner count a
+      count above 1 can only be beta_1 = 2 at (a, l), with region
+      column a = [l', l) lowering both endpoints of column
+      a - 1 = [l, u).  Then beta_0 sits at (a, l') and beta_2 at
+      (a, u), three rows l' < l < u in one table column, which the
+      certificate refuses.  So the gcd is 1, as it is for the stored
+      seeds.
     - Distinct regions give distinct tables.  A table fixes its
       K-polynomial, and the K-polynomial divided by (1 - s1)(1 - s2)
       is the region's Hilbert series, whose coefficients are 1 on the

@@ -8,9 +8,11 @@ staircase region.  Agreement between the routes is the completeness
 evidence for the box scan.  The unpruned region walk kept here is the
 reference for the certified walk pruned_regions, kept here too, which
 may only leave out regions whose tables fail the certificate; it
-shares no code with the library's transition _step, and its tables
-filtered to those that use every column are the reference for the
-library's dense-shape walk.
+shares no code with the transition _step, which the memoized count and
+the stepped dense-shape walk run.  pruned_regions' tables filtered to
+those that use every column, and the stepped walk, are the references
+for the library's dense-shape generator, which reads its tables off in
+closed form and shares no code with either.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -57,9 +60,7 @@ from betticone.bigraded import (
     bigraded_from_json_obj,
     bigraded_to_json_obj,
 )
-from betticone import rays as rays_module
-from betticone.rays import (DEFAULT_MAX_BOX, SEED_KEYS, _dense_shapes, _step,
-                            _table_column, staircase_betti)
+from betticone.rays import DEFAULT_MAX_BOX, SEED_KEYS, _dense_shapes
 
 KOSZUL_ENTRIES = {
     (0, (0, 0)): 1,
@@ -604,16 +605,155 @@ def staircase_regions(bound_a, bound_b):
     yield from walk(0, bound_b, bound_b)
 
 
+def _table_column(a, prev, col):
+    """Entries of table column a of a region module, by counting corners.
+
+    Every piece is one-dimensional with identity multiplications, so
+    the Koszul homology at (a, b) depends only on which of the cells
+    here (a, b), left (a-1, b), below (a, b-1) and corner (a-1, b-1)
+    lie in the region: column a of the table depends on the region's
+    columns a - 1 (prev) and a (col) only.  For a column [l, u),
+    beta_0 sits at its bottom cell (a, l) when (a - 1, l) is outside,
+    and beta_2 at (a + 1, u) when the cell (a + 1, u - 1) right of its
+    top is outside.  beta_1 follows from the Euler characteristic
+    beta_0 - beta_1 + beta_2 = here - left - below + corner, whose
+    right side, as a function of b, is +1 at l and -1 at u for the
+    column a and the reverse for the column a - 1.
+
+    No vertex mixes degrees; write [l', u') for column a - 1.  beta_1
+    at l needs l' = l, against beta_0's (a - 1, l) outside, or a -1 at
+    u' = l, which needs (a, l - 1) in column a.  beta_1 at u' needs
+    u = u', against beta_2's (a, u' - 1) outside, or a -1 at l = u',
+    which needs (a - 1, u') in column a - 1.  beta_0 and beta_2 at
+    l = u' would leave (a - 1, l) out between (a - 1, l - 1) and (a, l).
+    """
+    entries = {}
+    ones = {}
+    if col:
+        low, high = col
+        ones[high] = 1
+        if prev and prev[0] <= low < prev[1]:
+            ones[low] = -1
+        else:
+            entries[(0, (a, low))] = 1
+    if prev:
+        low, high = prev
+        ones[low] = ones.get(low, 0) + 1
+        if col and col[0] <= high - 1 < col[1]:
+            ones[high] = ones.get(high, 0) - 1
+        else:
+            entries[(2, (a, high))] = 1
+    for b, count in ones.items():
+        if count:
+            entries[(1, (a, b))] = count
+    return entries
+
+
+def staircase_betti(columns):
+    """Betti table of a region module given as a tuple of columns,
+    each None or an interval (l, u): one more table column than
+    region columns, each read off by _table_column, whose keys are
+    (i, (a, b)) with i in {0, 1, 2} and whose counts are nonzero
+    ints, positive because they are Betti numbers of the region
+    module (the Koszul oracle agrees on every region of box (4,4))."""
+    entries = {}
+    prev = None
+    for a, col in enumerate(columns + (None,)):
+        entries.update(_table_column(a, prev, col))
+        prev = col
+    return BigradedBettiTable(entries)
+
+
+def _step(a, prev, col, ends):
+    """Region column col placed after prev: (part, ends_next) with
+    part table column a, or None to cut by pruned_regions' rules.
+
+    ends[b] is b while row b has no vertex, the other end of b's path
+    while it has one, and None once it has two; ends is None once the
+    cycle has closed.  Joining rows u and v closes the cycle if v ends
+    u's path.  Closing forgets any other open path: no staircase
+    region has a row with one vertex, so every completion of such a
+    branch places a vertex after closure and is cut.  The walk's
+    frontier (a, p, q, prev, ends) is complete: the columns that may
+    follow and their verdicts depend on nothing else, so equal
+    frontiers have equal futures.
+    """
+    part = _table_column(a, prev, col)
+    if not part:
+        return part, ends
+    rows = {b for _, (_, b) in part}
+    if len(rows) != 2 or ends is None:
+        return None
+    u, v = rows
+    eu, ev = ends[u], ends[v]
+    if eu is None or ev is None:
+        return None
+    if eu == v:
+        return part, None
+    ends_next = list(ends)
+    ends_next[eu], ends_next[ev] = ev, eu
+    if eu != u:
+        ends_next[u] = None
+    if ev != v:
+        ends_next[v] = None
+    return part, tuple(ends_next)
+
+
+def _stepped_dense_shapes(k):
+    """The certified region tables in box (k - 1, k - 1) that use all k
+    table columns, each as its sorted (i, a, b) triples, lazily, in the
+    walk's order: the stepped route to rays._dense_shapes, which
+    generates them in closed form.
+
+    Columns are chosen as in staircase_regions; each choice goes
+    through _step, and the walk recurses on what it returns, undoing
+    nothing.  It cuts also as soon as a finished table column is
+    empty, and yields a region whose last step closes the cycle, its
+    table read off its columns at the leaf by staircase_betti.
+    Without that last cut this is pruned_regions(k - 1, k - 1).
+    """
+    def walk(a, p, q, columns, ends):
+        prev = columns[-1] if columns else None
+        if a == k - 1:
+            last = _step(a, prev, None, ends)
+            if last is not None and last[0] and last[1] is None:
+                yield sorted([(i, a, b) for i, (a, b)
+                              in staircase_betti(columns).entries])
+            return
+        choices = [(None, p, p)]
+        choices += [((low, high), low, high)
+                    for low in range(min(p, k - 2) + 1)
+                    for high in range(low + 1, q + 1)]
+        for col, p_next, q_next in choices:
+            step = _step(a, prev, col, ends)
+            if step is not None and step[0]:
+                yield from walk(a + 1, p_next, q_next, columns + (col,),
+                                step[1])
+
+    yield from walk(0, k - 1, k - 1, (), tuple(range(k)))
+
+
 def pruned_regions(bound_a, bound_b):
     """Staircase regions inside [0, bound_a) x [0, bound_b) whose tables
     pass the extremality certificate, as (columns, table) pairs, each
     once, lazily, in staircase_regions' order.
 
-    The reference route for the library's certified walk, written
-    without its transition _step: the columns are chosen as in
-    staircase_regions, table column a is read off by _table_column as
-    soon as region column a is placed, and a branch is cut by the rules
-    of the rays module docstring.  rows[b] counts the vertices of row
+    The reference route for the certified walk, written without the
+    transition _step: the columns are chosen as in staircase_regions,
+    table column a is read off by _table_column as soon as region
+    column a is placed, and a branch is cut by three necessary
+    conditions of the certificate, so no region whose table certifies
+    is cut.  Table column a is final once region column a is placed,
+    so a column of vertex count other than 0 or 2 fails in every
+    completion (no table column mixes homological degrees); rows only
+    gain vertices, so a row that would reach a third vertex fails too;
+    and each column of two vertices joins their two rows, so the rows
+    form paths and cycles, and a closed cycle is full, so a vertex
+    placed after it leaves the graph disconnected.  A region is
+    yielded once its cycle has closed: no row then holds a single
+    vertex (the K-polynomial test, which every region passes, needs
+    each row's signed counts to cancel), so the graph is that one
+    cycle.  rows[b] counts the vertices of row
     b, and ends[b] is the other end of the path that ends at row b (one
     vertex), or b itself (no vertex); both are undone after each
     branch.  A leaf's table goes through the public constructor.
@@ -807,10 +947,17 @@ def test_no_seed_key_is_a_region_key():
     assert len(keys) == 1145 and keys.isdisjoint(SEED_KEYS)
 
 
+# The code of the dense-shape generator's recursion, _dense_shapes'
+# nested grow.
+GROW = next(c for c in _dense_shapes.__code__.co_consts
+            if getattr(c, "co_name", None) == "grow")
+
+
 def test_listing_runs_no_oracle_and_no_certificate():
     """enumerate_box_rays reads its seeds from SEED_KEYS: no function of
     the module engine and no certificate runs while it lists a box the
-    seeds fit in."""
+    seeds fit in, and its shapes come from the generator, not from the
+    tests' stepped walk."""
     engine = module_engine.__file__
     seen = set()
 
@@ -824,7 +971,9 @@ def test_listing_runs_no_oracle_and_no_certificate():
     finally:
         sys.setprofile(None)
     assert len(rays) == 441
-    assert _step.__code__ in seen
+    assert GROW in seen
+    assert _step.__code__ not in seen
+    assert _table_column.__code__ not in seen
     assert not [c.co_name for c in seen if c.co_filename == engine]
     assert check_extremality_certificate.__code__ not in seen
 
@@ -1130,23 +1279,29 @@ def test_walks_at_box_six_and_shapes_at_seven_yield_their_pinned_sequences():
 # Dense monomial shapes per k, Cat(k - 1), and how many of them equal
 # their own transpose, C(k - 1, (k - 1) // 2).
 DENSE_SHAPES = {2: (1, 1), 3: (2, 2), 4: (5, 3), 5: (14, 6), 6: (42, 10),
-                7: (132, 20)}
+                7: (132, 20), 8: (429, 35), 9: (1430, 70), 10: (4862, 126)}
+
+
+def _shape_counts(shapes):
+    """(shapes, self-transpose shapes)."""
+    fixed = sum(sorted((i, b, a) for i, a, b in shape) == shape
+                for shape in shapes)
+    return len(shapes), fixed
 
 
 def _check_dense_shapes(k):
     """_dense_shapes(k) is the full walk of box k - 1 filtered to the
-    tables that use all k columns, in the walk's order, and every such
-    table uses all k rows; the counts are the pinned ones."""
+    tables that use all k columns, in the walk's order, and the
+    stepped walk; every such table uses all k rows, and the counts are
+    the pinned ones."""
     walked = [sorted((i, a, b) for i, (a, b) in table.entries)
               for _, table in pruned_regions(k - 1, k - 1)]
     dense = [shape for shape in walked
              if {a for _, a, _ in shape} == set(range(k))]
     shapes = list(_dense_shapes(k))
-    assert shapes == dense, k
+    assert shapes == dense == list(_stepped_dense_shapes(k)), k
     assert all({b for _, _, b in shape} == set(range(k)) for shape in shapes)
-    fixed = sum(sorted((i, b, a) for i, a, b in shape) == shape
-                for shape in shapes)
-    assert (len(shapes), fixed) == DENSE_SHAPES[k]
+    assert _shape_counts(shapes) == DENSE_SHAPES[k]
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -1154,31 +1309,60 @@ def test_dense_shapes_are_the_full_walk_filtered(k):
     _check_dense_shapes(k)
 
 
-# Calls to _step per listing: the dense-shape walks of boxes 1 .. m
-# for m = min(B1, B2), so 5,3 and 3,5 take the steps of 3,3.
-LISTING_STEPS = {(3, 3): 106, (4, 4): 461, (5, 3): 106, (3, 5): 106,
-                 (5, 5): 1899, (6, 6): 7749}
+def test_dense_shape_counts_past_the_walk():
+    """s_k = Cat(k - 1) shapes, f_k = C(k - 1, (k - 1) // 2) of them
+    self-transpose, up to k = 10, past what the walks check; each shape
+    is a sorted table of 2k vertices, two in every column and row, and
+    no shape repeats."""
+    for k in range(2, 11):
+        shapes = list(_dense_shapes(k))
+        n = k - 1
+        assert _shape_counts(shapes) == DENSE_SHAPES[k] == \
+            (comb(2 * n, n) // (n + 1), comb(n, n // 2)), k
+        assert len({tuple(shape) for shape in shapes}) == len(shapes), k
+        for shape in shapes:
+            assert shape == sorted(shape) and len(shape) == 2 * k, shape
+            for axis in (1, 2):
+                assert sorted(t[axis] for t in shape) == \
+                    sorted(2 * list(range(k))), shape
 
 
-def test_listing_walks_the_dense_shapes_only(monkeypatch):
-    """The listing walks box k - 1 per k, not the full box, and takes
-    exactly the pinned steps: the full walk takes 1449 steps at box 4,4
-    and 64509 at box 6,6."""
-    calls = []
+# Recursive calls of the dense-shape generator per listing, Cat(k)
+# for each k = 2 .. m + 1, m = min(B1, B2), so 5,3 and 3,5 take the
+# calls of 3,3.
+LISTING_CALLS = {(3, 3): 21, (4, 4): 63, (5, 3): 21, (3, 5): 21,
+                 (5, 5): 195, (6, 6): 624}
 
-    def counted(*args):
-        calls.append(args)
-        return _step(*args)
 
-    monkeypatch.setattr(rays_module, "_step", counted)
-    for box, steps in LISTING_STEPS.items():
-        calls.clear()
+def _grow_calls(box):
+    """Calls of the generator's grow while box_rays lists the box, one
+    per frame: the profiler also reports each resumption as a call."""
+    frames = {}
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is GROW:
+            frames[id(frame)] = frame
+
+    sys.setprofile(hook)
+    try:
         box_rays(box)
-        assert len(calls) == steps, box
+    finally:
+        sys.setprofile(None)
+    return len(frames)
+
+
+def test_listing_walks_the_dense_shapes_only():
+    """The listing generates the dense shapes of each k, not the
+    regions of the full box, and makes exactly the pinned recursive
+    calls: the stepped walk of the dense shapes took 461 steps at box
+    4,4 and 7749 at box 6,6, and the full walk 1449 and 64509."""
+    for box, calls in LISTING_CALLS.items():
+        assert _grow_calls(box) == calls, box
 
 
 @pytest.mark.slow
 def test_dense_shapes_at_seven_and_the_listing_at_box_six():
     _check_dense_shapes(7)
+    _check_dense_shapes(8)
     assert [list(t.entries.items()) for t in enumerate_box_rays((6, 6))] \
         == [list(t.entries.items()) for t in _keyed_box_rays((6, 6))]
